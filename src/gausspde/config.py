@@ -14,7 +14,7 @@ Top-level keys::
     t_final        float > 0
     steps          strictly increasing list of positive step counts
     grid           {"bounds": [[lo, hi], ...], "points_per_axis": int,
-                    "boundary_mode": "clamp"|"constant", "boundary_value": float?}
+                    "boundary_mode"?: "clamp" (default)|"constant", "boundary_value": float?}
     quadrature     {"backend": "gauss_hermite"|"monte_carlo", "nodes_per_dim"?,
                     "samples"?, "rng_seed"?}
     interpolation  "cubic"|"linear", optional (default "cubic")
@@ -228,7 +228,7 @@ def _build_initial(raw, dim: int, path: str) -> InitialCondition:
 class GridSpec:
     bounds: tuple[tuple[float, float], ...]
     points_per_axis: int
-    boundary_mode: str = "constant"
+    boundary_mode: str = "clamp"
     boundary_value: float = 0.0
 
 
@@ -262,7 +262,7 @@ def _parse_grid(raw, path: str) -> GridSpec:
     sec = _mapping(raw, path)
     bounds = _parse_bounds(_pop(sec, "bounds", path), _sub(path, "bounds"))
     points = _as_int(_pop(sec, "points_per_axis", path), _sub(path, "points_per_axis"))
-    mode = _as_str(_pop(sec, "boundary_mode", path, default="constant"), _sub(path, "boundary_mode"))
+    mode = _as_str(_pop(sec, "boundary_mode", path, default="clamp"), _sub(path, "boundary_mode"))
     value = _as_float(_pop(sec, "boundary_value", path, default=0.0), _sub(path, "boundary_value"))
     _no_extras(sec, path)
     if not 1 <= len(bounds) <= 4:

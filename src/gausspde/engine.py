@@ -16,6 +16,16 @@ grid: each step smooths over a Gaussian of scale sqrt(2 tau g q_1), so grid
 bounds must exceed the region of interest by the accumulated margin
 6 sqrt(2 t g_max q_1) (plus t q_1 B_0 under drift); assertions apply to
 interior points only.
+
+On a grid S_tau is linear and the same at every step.  With Gauss-Hermite nodes
+it is therefore compiled once per chernoff_solve (and once per apply_S call):
+the node positions, spline taps, quadrature and drift weights and the prefactor
+go into fixed tables (_CompiledGHStep), and a step is the B-spline prefilter
+plus a contraction with them.  The tables take about M K (order + 1) * 12 bytes
+per axis for M grid points and K nodes per axis.  Monte Carlo draws fresh nodes
+at every step (Philox stream k-1), so there is nothing fixed to compile; its
+step is rebuilt each time by _one_step_values, which also evaluates
+tangency_residual's analytic functions.
 """
 
 from __future__ import annotations
@@ -27,6 +37,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.ndimage as ndi
+import scipy.sparse as sp
 
 from .cylinder import Coefficients, CylFunction, OperatorL, apply_L
 from .gauss import (
@@ -51,6 +62,9 @@ __all__ = [
 
 _ORDERS = {"linear": 1, "cubic": 3}
 _BOUNDARY_MODES = ("clamp", "constant")
+# coefficients gathered at once by the d >= 2 contraction: 512 KB of values plus
+# their indices stay in L2, which measured faster than larger chunks
+_PATCH_ELEMENTS = 1 << 16
 
 
 class TruncationError(RuntimeError):
@@ -131,6 +145,20 @@ class GridField:
         return _FieldEvaluator(self, interpolation)(np.asarray(points, dtype=float))
 
 
+def _spline_mode(fld: GridField) -> tuple[str, float]:
+    """scipy.ndimage mode and cval that realize the field's boundary_mode."""
+    if fld.boundary_mode == "clamp":
+        return "nearest", 0.0
+    return "grid-constant", fld.boundary_value
+
+
+def _prefilter(values: np.ndarray, order: int, mode: str) -> np.ndarray:
+    """B-spline coefficients of the samples (the samples themselves for linear)."""
+    if order == 1:
+        return values
+    return ndi.spline_filter(values, order=order, mode=mode, output=np.float64)
+
+
 class _FieldEvaluator:
     """Spline evaluator for a GridField; prefilters once, then maps batches."""
 
@@ -138,14 +166,8 @@ class _FieldEvaluator:
         if interpolation not in _ORDERS:
             raise ValueError(f"interpolation must be one of {tuple(_ORDERS)}")
         self.order = _ORDERS[interpolation]
-        if fld.boundary_mode == "clamp":
-            self.mode, self.cval = "nearest", 0.0
-        else:
-            self.mode, self.cval = "grid-constant", fld.boundary_value
-        if self.order > 1:
-            self.coeffs = ndi.spline_filter(fld.values, order=self.order, mode=self.mode, output=np.float64)
-        else:
-            self.coeffs = fld.values
+        self.mode, self.cval = _spline_mode(fld)
+        self.coeffs = _prefilter(fld.values, self.order, self.mode)
         self.lo = np.array([lo for lo, _ in fld.bounds])
         self.dx = np.array([(hi - lo) / (fld.points_per_axis - 1) for lo, hi in fld.bounds])
 
@@ -240,30 +262,178 @@ def _one_step_values(
     return out
 
 
-def _apply_S(op: OperatorL, tau: float, u: GridField, quad: QuadratureSpec, interpolation: str, stream: tuple) -> GridField:
+def _spline_taps(idx: np.ndarray, order: int, size: int, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient columns and B-spline weights that interpolation at grid index idx reads.
+
+    Bit for bit what scipy.ndimage.map_coordinates computes (prefilter=False) at the same
+    index: taps floor(idx) - order // 2 ... + order, the last weight by the sum rule.
+    Reads past the edge clamp to it ("nearest") or, for "grid-constant", land on a
+    padding cell holding cval, so columns address the coefficients padded by one cell.
+    """
+    base = np.floor(idx)
+    cols = base.astype(np.int32)[..., None] + (np.arange(order + 1, dtype=np.int32) - order // 2)
+    t = np.subtract(idx, base, out=base)
+    w = np.empty(idx.shape + (order + 1,))
+    if order == 1:
+        w[..., 0] = 1.0 - t
+    else:
+        z = 1.0 - t
+        w[..., 0] = z * z * z / 6.0
+        w[..., 1] = (t * t * (t - 2.0) * 3.0 + 4.0) / 6.0
+        w[..., 2] = (z * z * (z - 2.0) * 3.0 + 4.0) / 6.0
+    last = 1.0
+    for j in range(order):
+        last = last - w[..., j]
+    w[..., order] = last
+    if mode == "nearest":
+        np.clip(cols, 0, size - 1, out=cols)
+    else:
+        np.clip(cols, -1, size, out=cols)
+        cols += 1
+    return cols, w
+
+
+class _CompiledGHStep:
+    """S_tau with Gauss-Hermite nodes on one grid, compiled once into fixed weight tables.
+
+    The nodes x + sqrt(2 tau g(x)) z_k, the prefactor e^{tau C - tau <AB, B>/4g} and the
+    drift weights do not depend on the field, so a step is the spline prefilter followed
+    by a fixed linear map.  In 1D that map is a sparse matrix of spline taps at the
+    nodes, followed by the node sum exactly as in the per-node operator, so results are
+    bit-identical to it (while K M <= 4e6, where it sums all nodes at once).  For d >= 2
+    tensor nodes, the tensor B-spline and the drift
+    weight (A is diagonal) factor per axis: axis i holds, for every grid point, the
+    column and weight w_k e^{beta_i s sqrt(q_i) z_k} B(offset) of each of its
+    K (order + 1) taps, and the step contracts each point's coefficient patch with
+    them axis by axis; the summation order changes, so results move in the last bits.
+    """
+
+    def __init__(self, op: OperatorL, tau: float, grid: GridField, nodes_per_dim: int, interpolation: str):
+        dim = grid.dim
+        if dim > GH_MAX_DIM:
+            raise ValueError(f"gauss_hermite backend supports dimension <= {GH_MAX_DIM}, got {dim}")
+        self.order = _ORDERS[interpolation]
+        self.mode, self.cval = _spline_mode(grid)
+        self.shape = grid.values.shape
+        size = grid.points_per_axis
+        co = op.coeffs
+        q = op.q
+        pts = grid.meshpoints()
+        m = pts.shape[0]
+        g = co.g_at(pts)
+        c = co.c_at(pts)
+        b = co.b_at(pts)
+        s = np.sqrt(2.0 * tau * g)
+        if b is None:
+            self.prefactor = np.exp(tau * c)
+        else:
+            self.prefactor = np.exp(tau * c - tau * ((b * b) @ q) / (4.0 * g))
+        z1, self.node_weights = _gh_standard(nodes_per_dim, 1)
+        padded = size + 2 if self.mode == "grid-constant" else size
+        origin = [lo for lo, _ in grid.bounds]
+        spacing = [(hi - lo) / (size - 1) for lo, hi in grid.bounds]
+
+        if dim == 1:
+            zc = z1[:, 0] * np.sqrt(q[0])
+            idx = (pts[None, :, 0] + s[None, :] * zc[:, None] - origin[0]) / spacing[0]
+            cols, w = _spline_taps(idx, self.order, size, self.mode)
+            self.matrix = sp.csr_matrix(
+                (w.ravel(), cols.ravel(), np.arange(0, w.size + 1, self.order + 1, dtype=cols.dtype)),
+                shape=(w.size // (self.order + 1), padded),
+            )
+            self.drift = None
+            if b is not None:
+                beta = b / (2.0 * g)[:, None]
+                self.drift = np.exp(np.einsum("mn,kn->km", beta, zc[:, None]) * s[None, :])
+            return
+
+        self.cols, self.weights = [], []
+        for i in range(dim):
+            zi = z1[:, 0] * np.sqrt(q[i])
+            idx = (pts[:, i, None] + s[:, None] * zi - origin[i]) / spacing[i]
+            cols, w = _spline_taps(idx, self.order, size, self.mode)
+            node_w = self.node_weights
+            if b is not None:
+                node_w = node_w * np.exp((b[:, i] / (2.0 * g) * s)[:, None] * zi)
+            w *= node_w[..., None]
+            self.cols.append(cols.reshape(m, -1))
+            self.weights.append(w.reshape(m, -1))
+        # per-axis columns are int32; flat offsets into the coefficients are intp
+        self.strides = [np.intp(padded ** (dim - 1 - i)) for i in range(dim)]
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        coeffs = _prefilter(values, self.order, self.mode)
+        if self.mode == "grid-constant":
+            coeffs = np.pad(coeffs, 1, constant_values=self.cval)
+        if len(self.shape) == 1:
+            node_vals = (self.matrix @ coeffs).reshape(self.node_weights.size, -1)
+            if self.drift is not None:
+                node_vals = node_vals * self.drift
+            out = self.prefactor * (self.node_weights @ node_vals)
+        else:
+            out = self.prefactor * self._contract(coeffs.ravel())
+        if not np.all(np.isfinite(out)):
+            raise IntegrandError("one-step integral produced a non-finite value")
+        return out.reshape(self.shape)
+
+    def _contract(self, flat: np.ndarray) -> np.ndarray:
+        """Sum over each point's lanes^d coefficient patch, gathered in chunks of points."""
+        m, lanes = self.cols[0].shape
+        tail = lanes ** (len(self.cols) - 1)
+        chunk = max(1, _PATCH_ELEMENTS // (lanes * tail))
+        # when one point's patch alone exceeds the budget, gather it in slices along axis 0
+        block = lanes if chunk > 1 else max(1, _PATCH_ELEMENTS // tail)
+        out = np.empty(m)
+        for p0 in range(0, m, chunk):
+            rows = slice(p0, p0 + chunk)
+            n = min(chunk, m - p0)
+            tail_idx = np.zeros((n, 1), dtype=np.intp)
+            for cols, stride in zip(self.cols[1:], self.strides[1:]):
+                tail_idx = (tail_idx[:, :, None] + cols[rows, None, :] * stride).reshape(n, -1)
+            acc = np.zeros(n)
+            for a0 in range(0, lanes, block):
+                lead = self.cols[0][rows, a0 : a0 + block] * self.strides[0]
+                vals = np.take(flat, lead[:, :, None] + tail_idx[:, None, :])
+                for w in reversed(self.weights[1:]):
+                    vals = np.matmul(vals.reshape(n, -1, lanes), w[rows, :, None])
+                acc += np.einsum("pa,pa->p", vals.reshape(n, -1), self.weights[0][rows, a0 : a0 + block])
+            out[rows] = acc
+        return out
+
+
+def _compile_step(op: OperatorL, tau: float, grid: GridField, quad: QuadratureSpec, interpolation: str):
+    """S_tau as a map (field, stream) -> field for fields on the geometry of `grid`.
+
+    Gauss-Hermite steps are compiled once into fixed weight tables.  Monte Carlo draws
+    a fresh node set from Philox stream `stream` at every step, so its nodes are not
+    fixed and its step is rebuilt on each call.
+    """
+    if interpolation not in _ORDERS:
+        raise ValueError(f"interpolation must be one of {tuple(_ORDERS)}")
     if not (math.isfinite(tau) and tau > 0.0):
         raise ValueError("tau must be positive")
-    if u.dim != op.dim:
-        raise ValueError(f"field dimension {u.dim} does not match operator dimension {op.dim}")
+    if grid.dim != op.dim:
+        raise ValueError(f"field dimension {grid.dim} does not match operator dimension {op.dim}")
     reach = _margin(op, tau)
-    for lo, hi in u.bounds:
+    for lo, hi in grid.bounds:
         if reach >= hi - lo:
             raise TruncationError(
                 f"one-step Gaussian reach {reach:.3g} exceeds domain width {hi - lo:.3g}; enlarge the grid"
             )
-    evaluator = _FieldEvaluator(u, interpolation)
-    vals = _one_step_values(op, tau, evaluator, u.meshpoints(), quad, stream)
-    return GridField(
-        bounds=u.bounds,
-        values=vals.reshape(u.values.shape),
-        boundary_mode=u.boundary_mode,
-        boundary_value=u.boundary_value,
-    )
+    if quad.backend == "gauss_hermite":
+        compiled = _CompiledGHStep(op, tau, grid, quad.nodes_per_dim, interpolation)
+        return lambda u, stream: dataclasses.replace(u, values=compiled(u.values))
+
+    def mc_step(u: GridField, stream: tuple) -> GridField:
+        vals = _one_step_values(op, tau, _FieldEvaluator(u, interpolation), u.meshpoints(), quad, stream)
+        return dataclasses.replace(u, values=vals.reshape(u.values.shape))
+
+    return mc_step
 
 
 def apply_S(op: OperatorL, tau: float, u: GridField, quad: QuadratureSpec, interpolation: str = "cubic") -> GridField:
     """One application of S_tau to a grid field."""
-    return _apply_S(op, tau, u, quad, interpolation, stream=())
+    return _compile_step(op, tau, u, quad, interpolation)(u, ())
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,9 +464,10 @@ def chernoff_solve(plan: ChernoffPlan, u0: GridField, checkpoint_steps: Sequence
     interior = np.empty(plan.steps)
     checkpoints: dict[int, GridField] = {}
     wanted = {int(k) for k in checkpoint_steps}
+    step_S = _compile_step(plan.op, plan.tau, u0, plan.quad, plan.interpolation)
     u = u0
     for step in range(1, plan.steps + 1):
-        u = _apply_S(plan.op, plan.tau, u, plan.quad, plan.interpolation, stream=(step - 1,))
+        u = step_S(u, (step - 1,))
         sup_norms[step - 1] = u.sup_norm
         interior[step - 1] = float(np.max(np.abs(u.values[mask])))
         if step in wanted:

@@ -45,11 +45,21 @@ def test_parse_round_trip():
     assert cfg.steps == (1, 4, 16)
     assert cfg.coefficients.drift_is_zero
     assert cfg.coefficients.contractive
-    assert cfg.grid.boundary_mode == "constant"
+    assert cfg.grid.boundary_mode == "clamp"
     assert cfg.quadrature.backend == "gauss_hermite"
     assert cfg.interpolation == "cubic"
     assert cfg.oracle.kind == "exact_constant"
     assert cfg.output == "out/demo.csv"
+
+
+def test_grid_boundary_mode_defaults_to_the_library_default():
+    cfg = parse_config(base_dict())
+    assert cfg.grid.boundary_mode == "clamp" == GridField.__dataclass_fields__["boundary_mode"].default
+    assert cfg.grid.boundary_value == 0.0
+    assert cfg.initial_field().boundary_mode == "clamp"
+    data = base_dict()
+    data["grid"]["boundary_mode"] = "constant"
+    assert parse_config(data).initial_field().boundary_mode == "constant"
 
 
 def test_helpers_build_runnable_objects():

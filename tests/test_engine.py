@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from gausspde import engine
 from gausspde.cylinder import Coefficients, CylFunction, OperatorL
 from gausspde.engine import (
     ChernoffPlan,
     GridField,
     TruncationError,
+    _FieldEvaluator,
+    _one_step_values,
     apply_S,
     chernoff_solve,
     coefficient_continuity_probe,
@@ -180,6 +183,69 @@ def test_apply_s_truncation_margin_guard():
     tiny = GridField.from_function([(-0.5, 0.5)], 32, lambda x: np.ones(x.shape[0]))
     with pytest.raises(TruncationError):
         apply_S(op, 1.0, tiny, GH)
+
+
+def variable_op(dim, drift):
+    """g = 1 + sin(x1)/2, C = -0.3 + 0.2 cos(x1), optional B_i = 0.4 cos(x_i + i)."""
+    q = (0.5, 0.25, 0.2)[:dim]
+    g = CylFunction(dim=dim, eval=lambda x: 1.0 + 0.5 * np.sin(x[:, 0]), sup_bound=1.5)
+    c = CylFunction(dim=dim, eval=lambda x: -0.3 + 0.2 * np.cos(x[:, 0]), sup_bound=0.5)
+    B = None
+    if drift:
+        B = [CylFunction(dim=dim, eval=lambda x, i=i: 0.4 * np.cos(x[:, i] + i), sup_bound=0.4) for i in range(dim)]
+    co = Coefficients(g=g, B=B, C=c, g_floor=0.5)
+    return OperatorL(coeffs=co, A=TraceClassOperator(list(q)))
+
+
+def rough_field(dim, pts, half, **kw):
+    fn = lambda x: np.cos(1.3 * x[:, 0]) * np.prod(np.cos(0.7 * x[:, 1:] + 0.4), axis=1) + 0.2 * np.sign(x[:, 0])
+    return GridField.from_function([(-half, half)] * dim, pts, fn, **kw)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("interpolation", ["cubic", "linear"])
+@pytest.mark.parametrize("mode", ["clamp", "constant"])
+@pytest.mark.parametrize("drift", [False, True])
+def test_compiled_step_matches_per_node_reference(dim, interpolation, mode, drift):
+    op = variable_op(dim, drift)
+    nodes = (16, 8)[dim - 1]
+    quad = QuadratureSpec(backend="gauss_hermite", nodes_per_dim=nodes)
+    half, tau = 3.0, 0.4
+    u = rough_field(dim, (200, 24)[dim - 1], half, boundary_mode=mode, boundary_value=0.75)
+    # the outermost nodes of the edge points read more than a sixth of the box past the edge
+    z_max = math.sqrt(2.0) * np.polynomial.hermite.hermgauss(nodes)[0].max()
+    assert math.sqrt(2 * tau * 0.5 * 0.25) * z_max > 2 * half / 6
+    ref = _one_step_values(op, tau, _FieldEvaluator(u, interpolation), u.meshpoints(), quad)
+    out = apply_S(op, tau, u, quad, interpolation).values.ravel()
+    assert np.max(np.abs(out - ref)) <= 1e-13
+    if dim == 1:
+        # 1D keeps the per-node summation order
+        assert np.array_equal(out, ref)
+
+
+@pytest.mark.parametrize("budget", [1 << 16, 64])
+def test_compiled_step_3d_patch_gather(monkeypatch, budget):
+    # a small budget gathers one point at a time, in slices along axis 0
+    monkeypatch.setattr(engine, "_PATCH_ELEMENTS", budget)
+    op = variable_op(3, drift=True)
+    quad = QuadratureSpec(backend="gauss_hermite", nodes_per_dim=4)
+    u = rough_field(3, 7, 3.0, boundary_mode="constant", boundary_value=0.5)
+    ref = _one_step_values(op, 0.3, _FieldEvaluator(u, "cubic"), u.meshpoints(), quad)
+    assert np.max(np.abs(apply_S(op, 0.3, u, quad).values.ravel() - ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_chernoff_checkpoint_equals_repeated_apply_s(dim):
+    op = variable_op(dim, drift=True)
+    quad = QuadratureSpec(backend="gauss_hermite", nodes_per_dim=8)
+    u0 = rough_field(dim, (256, 32)[dim - 1], 9.0, boundary_mode="constant", boundary_value=0.1)
+    plan = ChernoffPlan(t_final=0.3, steps=6, quad=quad, op=op)
+    k = 4
+    res = chernoff_solve(plan, u0, checkpoint_steps=(k,))
+    u = u0
+    for _ in range(k):
+        u = apply_S(op, plan.tau, u, quad)
+    assert np.array_equal(res.checkpoints[k].values, u.values)
 
 
 # ---------------------------------------------------------------- norm bound
