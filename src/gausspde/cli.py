@@ -36,8 +36,7 @@ import numpy as np
 from .battery import run_battery
 from .config import ConfigError, ExperimentConfig, load_config
 from .engine import GridField, chernoff_solve
-from .gauss import TraceClassOperator
-from .oracle import FDProblem, exact_constant_solution, fd_solve
+from .oracle import fd_solve
 
 
 def _fmt(value: float) -> str:
@@ -97,26 +96,9 @@ def _comparison_points(config: ExperimentConfig) -> tuple[GridField, np.ndarray,
 def _oracle_values(config: ExperimentConfig, points: np.ndarray) -> np.ndarray:
     spec = config.oracle
     if spec.kind == "exact_constant":
-        return exact_constant_solution(
-            config.coefficients.g.constant_value,
-            config.eigenvalues[0],
-            config.coefficients.C.constant_value,
-            config.initial.wavenumber,
-            config.t_final,
-            points[:, 0],
-        )
-    problem = FDProblem(
-        dim=config.dim,
-        coeffs=config.coefficients,
-        A=TraceClassOperator(config.eigenvalues),
-        bounds=spec.bounds,
-        points_per_axis=spec.points_per_axis,
-        t_final=config.t_final,
-        time_steps=spec.time_steps,
-        boundary=spec.boundary,
-    )
+        return config.exact_solution(points[:, 0])
     u0 = GridField.from_function(spec.bounds, spec.points_per_axis, config.initial.function(config.dim))
-    return fd_solve(problem, u0).sample(points)
+    return fd_solve(config.oracle_problem(), u0).sample(points)
 
 
 def _cmd_converge(config: ExperimentConfig, out) -> None:
@@ -180,10 +162,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         config = load_config(args.config)
         if args.seed is not None:
-            try:
-                config = config.with_seed(args.seed)
-            except ValueError as exc:
-                raise ConfigError(f"seed: {exc}") from exc
+            config = config.with_seed(args.seed)
         out = args.out if args.out is not None else config.output
         if out is None:
             raise ConfigError("output: set the config 'output' key or pass --out")

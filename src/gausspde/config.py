@@ -1,8 +1,19 @@
 """Experiment configuration: JSON schema, registries, strict validation.
 
 A configuration is a single JSON object.  Unknown keys are rejected at every
-nesting level and every diagnostic names the offending field, so a typo fails
-fast instead of silently running a different experiment.
+nesting level and every diagnostic names the offending field or section, so a
+typo fails fast instead of silently running a different experiment.
+
+Parsing builds the library's own objects, and each value rule and default
+belongs to the type that owns it: the initial GridField (section grid),
+Coefficients (coefficients), TraceClassOperator and OperatorL (eigenvalues),
+QuadratureSpec (quadrature), a ChernoffPlan per steps entry (t_final, steps,
+interpolation), and the oracle's FDProblem or closed form (oracle).  Their
+ValueError is raised as a ConfigError naming the section, and optional keys
+left out take the owning type's default.  This module adds only structural
+rules (types, unknown and missing keys, list shapes, lo < hi per axis, 1 to 4
+grid axes, strictly increasing steps) and the exact_constant oracle's
+cross-field rules.
 
 Top-level keys::
 
@@ -14,10 +25,10 @@ Top-level keys::
     t_final        float > 0
     steps          strictly increasing list of positive step counts
     grid           {"bounds": [[lo, hi], ...], "points_per_axis": int,
-                    "boundary_mode"?: "clamp" (default)|"constant", "boundary_value": float?}
+                    "boundary_mode"?: "clamp"|"constant", "boundary_value"?: float}
     quadrature     {"backend": "gauss_hermite"|"monte_carlo", "nodes_per_dim"?,
                     "samples"?, "rng_seed"?}
-    interpolation  "cubic"|"linear", optional (default "cubic")
+    interpolation  "cubic"|"linear", optional
     oracle         optional; {"kind": "exact_constant"} or
                    {"kind": "crank_nicolson", "bounds": ..., "points_per_axis": ...,
                     "time_steps": ..., "boundary"?}
@@ -43,6 +54,7 @@ import numpy as np
 from .cylinder import Coefficients, CylFunction, OperatorL
 from .engine import ChernoffPlan, GridField
 from .gauss import QuadratureSpec, TraceClassOperator
+from .oracle import FDProblem, exact_constant_solution
 
 
 class ConfigError(ValueError):
@@ -54,6 +66,14 @@ _MISSING = object()
 
 def _sub(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
+
+
+def _build(path: str, ctor: Callable, *args, **kwargs):
+    """ctor(*args, **kwargs); the ValueError of its own checks becomes a ConfigError on `path`."""
+    try:
+        return ctor(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _mapping(value, path: str) -> dict:
@@ -68,6 +88,12 @@ def _pop(section: dict, key: str, path: str, default=_MISSING):
     if default is _MISSING:
         raise ConfigError(f"{_sub(path, key)}: required key is missing")
     return default
+
+
+def _present(section: dict, path: str, **converters) -> dict:
+    """The optional keys the section sets, converted; absent keys keep the owning type's default."""
+    present = [key for key in converters if key in section]
+    return {key: converters[key](section.pop(key), _sub(path, key)) for key in present}
 
 
 def _no_extras(section: dict, path: str):
@@ -112,8 +138,8 @@ def _float_list(value, path: str) -> tuple[float, ...]:
 # ------------------------------------------------------------------ registries
 
 
-def _build_scalar(raw, dim: int, path: str) -> tuple[CylFunction, Optional[float]]:
-    """Resolve one coefficient spec; returns (function, known lower bound or None)."""
+def _build_scalar(raw, dim: int, path: str) -> tuple[CylFunction, float]:
+    """Resolve one coefficient spec; returns (function, its known lower bound)."""
     sec = _mapping(raw, path)
     kind = _as_str(_pop(sec, "kind", path), _sub(path, "kind"))
     if kind == "constant":
@@ -148,29 +174,20 @@ def _build_coefficients(raw, dim: int, path: str) -> Coefficients:
     g_raw = _pop(sec, "g", path)
     c_raw = _pop(sec, "C", path)
     b_raw = _pop(sec, "B", path, default=None)
-    floor_raw = _pop(sec, "g_floor", path, default=None)
-    contractive = _as_bool(_pop(sec, "contractive", path, default=False), _sub(path, "contractive"))
+    opts = _present(sec, path, g_floor=_as_float, contractive=_as_bool)
     _no_extras(sec, path)
 
     g_fn, g_min = _build_scalar(g_raw, dim, _sub(path, "g"))
     c_fn, _ = _build_scalar(c_raw, dim, _sub(path, "C"))
     drift = None
     if b_raw is not None:
-        if not isinstance(b_raw, list) or len(b_raw) != dim:
-            raise ConfigError(f"{_sub(path, 'B')}: expected a list of {dim} component spec(s) or null")
+        if not isinstance(b_raw, list):
+            raise ConfigError(f"{_sub(path, 'B')}: expected a list of component specs or null")
         drift = tuple(
             _build_scalar(comp, dim, f"{_sub(path, 'B')}[{i}]")[0] for i, comp in enumerate(b_raw)
         )
-    if floor_raw is None:
-        g_floor = g_min
-    else:
-        g_floor = _as_float(floor_raw, _sub(path, "g_floor"))
-    if g_floor is None or g_floor <= 0.0:
-        raise ConfigError(f"{_sub(path, 'g_floor')}: g needs a positive lower bound")
-    try:
-        return Coefficients(g=g_fn, B=drift, C=c_fn, g_floor=g_floor, contractive=contractive)
-    except (ValueError, AssertionError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    opts.setdefault("g_floor", g_min)
+    return _build(path, Coefficients, g=g_fn, B=drift, C=c_fn, **opts)
 
 
 @dataclass(frozen=True)
@@ -199,21 +216,20 @@ def _build_initial(raw, dim: int, path: str) -> InitialCondition:
     sec = _mapping(raw, path)
     kind = _as_str(_pop(sec, "kind", path), _sub(path, "kind"))
     if kind == "cosine":
-        k = _as_float(_pop(sec, "wavenumber", path, default=1.0), _sub(path, "wavenumber"))
+        opts = _present(sec, path, wavenumber=_as_float)
         _no_extras(sec, path)
-        return InitialCondition(kind=kind, wavenumber=k)
+        return InitialCondition(kind=kind, **opts)
     if kind == "gaussian_bump":
-        width = _as_float(_pop(sec, "width", path, default=1.0), _sub(path, "width"))
-        center_raw = _pop(sec, "center", path, default=None)
-        _no_extras(sec, path)
-        if width <= 0.0:
-            raise ConfigError(f"{_sub(path, 'width')}: must be positive")
-        center = None
-        if center_raw is not None:
-            center = _float_list(center_raw, _sub(path, "center"))
+        center = _pop(sec, "center", path, default=None)
+        if center is not None:
+            center = _float_list(center, _sub(path, "center"))
             if len(center) != dim:
                 raise ConfigError(f"{_sub(path, 'center')}: expected {dim} coordinate(s)")
-        return InitialCondition(kind=kind, width=width, center=center)
+        initial = InitialCondition(kind=kind, center=center, **_present(sec, path, width=_as_float))
+        _no_extras(sec, path)
+        if initial.width <= 0.0:
+            raise ConfigError(f"{_sub(path, 'width')}: must be positive")
+        return initial
     if kind == "constant":
         value = _as_float(_pop(sec, "value", path), _sub(path, "value"))
         _no_extras(sec, path)
@@ -225,23 +241,15 @@ def _build_initial(raw, dim: int, path: str) -> InitialCondition:
 
 
 @dataclass(frozen=True)
-class GridSpec:
-    bounds: tuple[tuple[float, float], ...]
-    points_per_axis: int
-    boundary_mode: str = "clamp"
-    boundary_value: float = 0.0
-
-
-@dataclass(frozen=True)
 class OracleSpec:
     kind: str
     bounds: Optional[tuple[tuple[float, float], ...]] = None
     points_per_axis: Optional[int] = None
     time_steps: Optional[int] = None
-    boundary: str = "periodic"
+    boundary: str = FDProblem.boundary
 
 
-def _parse_bounds(raw, path: str, dim: Optional[int] = None) -> tuple[tuple[float, float], ...]:
+def _parse_bounds(raw, path: str) -> tuple[tuple[float, float], ...]:
     if not isinstance(raw, list) or not raw:
         raise ConfigError(f"{path}: expected a nonempty list of [lo, hi] pairs")
     out = []
@@ -253,41 +261,30 @@ def _parse_bounds(raw, path: str, dim: Optional[int] = None) -> tuple[tuple[floa
         if not lo < hi:
             raise ConfigError(f"{path}[{i}]: lower bound must be below upper bound")
         out.append((lo, hi))
-    if dim is not None and len(out) != dim:
-        raise ConfigError(f"{path}: expected {dim} axis pair(s)")
     return tuple(out)
 
 
-def _parse_grid(raw, path: str) -> GridSpec:
+def _parse_grid(raw, path: str) -> dict:
+    """GridField.from_function arguments of the grid section, all but the initial function."""
     sec = _mapping(raw, path)
     bounds = _parse_bounds(_pop(sec, "bounds", path), _sub(path, "bounds"))
     points = _as_int(_pop(sec, "points_per_axis", path), _sub(path, "points_per_axis"))
-    mode = _as_str(_pop(sec, "boundary_mode", path, default="clamp"), _sub(path, "boundary_mode"))
-    value = _as_float(_pop(sec, "boundary_value", path, default=0.0), _sub(path, "boundary_value"))
+    opts = _present(sec, path, boundary_mode=_as_str, boundary_value=_as_float)
     _no_extras(sec, path)
     if not 1 <= len(bounds) <= 4:
         raise ConfigError(f"{_sub(path, 'bounds')}: expected between 1 and 4 axes")
-    if points < 2:
-        raise ConfigError(f"{_sub(path, 'points_per_axis')}: need at least 2 points per axis")
-    if mode not in ("clamp", "constant"):
-        raise ConfigError(f"{_sub(path, 'boundary_mode')}: expected 'clamp' or 'constant'")
-    return GridSpec(bounds=bounds, points_per_axis=points, boundary_mode=mode, boundary_value=value)
+    return dict(bounds=bounds, points_per_axis=points, **opts)
 
 
 def _parse_quadrature(raw, path: str) -> QuadratureSpec:
     sec = _mapping(raw, path)
     backend = _as_str(_pop(sec, "backend", path), _sub(path, "backend"))
-    nodes = _as_int(_pop(sec, "nodes_per_dim", path, default=32), _sub(path, "nodes_per_dim"))
-    samples = _as_int(_pop(sec, "samples", path, default=100_000), _sub(path, "samples"))
-    seed = _as_int(_pop(sec, "rng_seed", path, default=0), _sub(path, "rng_seed"))
+    opts = _present(sec, path, nodes_per_dim=_as_int, samples=_as_int, rng_seed=_as_int)
     _no_extras(sec, path)
-    try:
-        return QuadratureSpec(backend=backend, nodes_per_dim=nodes, samples=samples, rng_seed=seed)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    return _build(path, QuadratureSpec, backend=backend, **opts)
 
 
-def _parse_oracle(raw, dim: int, path: str) -> Optional[OracleSpec]:
+def _parse_oracle(raw, path: str) -> Optional[OracleSpec]:
     if raw is None:
         return None
     sec = _mapping(raw, path)
@@ -296,22 +293,12 @@ def _parse_oracle(raw, dim: int, path: str) -> Optional[OracleSpec]:
         _no_extras(sec, path)
         return OracleSpec(kind=kind)
     if kind == "crank_nicolson":
-        bounds = _parse_bounds(_pop(sec, "bounds", path), _sub(path, "bounds"), dim=dim)
+        bounds = _parse_bounds(_pop(sec, "bounds", path), _sub(path, "bounds"))
         points = _as_int(_pop(sec, "points_per_axis", path), _sub(path, "points_per_axis"))
         time_steps = _as_int(_pop(sec, "time_steps", path), _sub(path, "time_steps"))
-        boundary = _as_str(_pop(sec, "boundary", path, default="periodic"), _sub(path, "boundary"))
+        opts = _present(sec, path, boundary=_as_str)
         _no_extras(sec, path)
-        if dim > 2:
-            raise ConfigError(f"{path}: crank_nicolson oracle supports 1 or 2 axes")
-        if points < 8:
-            raise ConfigError(f"{_sub(path, 'points_per_axis')}: need at least 8 points per axis")
-        if time_steps < 1:
-            raise ConfigError(f"{_sub(path, 'time_steps')}: need at least one time step")
-        if boundary not in ("periodic", "dirichlet"):
-            raise ConfigError(f"{_sub(path, 'boundary')}: expected 'periodic' or 'dirichlet'")
-        return OracleSpec(
-            kind=kind, bounds=bounds, points_per_axis=points, time_steps=time_steps, boundary=boundary
-        )
+        return OracleSpec(kind=kind, bounds=bounds, points_per_axis=points, time_steps=time_steps, **opts)
     raise ConfigError(f"{_sub(path, 'kind')}: unknown oracle kind {kind!r}")
 
 
@@ -319,20 +306,9 @@ def _parse_steps(raw, path: str) -> tuple[int, ...]:
     if not isinstance(raw, list) or not raw:
         raise ConfigError(f"{path}: expected a nonempty list of step counts")
     steps = tuple(_as_int(v, f"{path}[{i}]") for i, v in enumerate(raw))
-    if any(n < 1 for n in steps):
-        raise ConfigError(f"{path}: step counts must be positive")
     if any(b <= a for a, b in zip(steps, steps[1:])):
         raise ConfigError(f"{path}: step counts must be strictly increasing")
     return steps
-
-
-def _parse_eigenvalues(raw, path: str) -> tuple[float, ...]:
-    values = _float_list(raw, path)
-    try:
-        TraceClassOperator(values)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    return values
 
 
 # ------------------------------------------------------------------ top level
@@ -348,27 +324,22 @@ class ExperimentConfig:
     initial: InitialCondition
     t_final: float
     steps: tuple[int, ...]
-    grid: GridSpec
+    grid: GridField
     quadrature: QuadratureSpec
-    interpolation: str = "cubic"
+    interpolation: str = ChernoffPlan.interpolation
     oracle: Optional[OracleSpec] = None
     output: Optional[str] = None
 
     @property
     def dim(self) -> int:
-        return len(self.grid.bounds)
+        return self.grid.dim
 
     def operator(self) -> OperatorL:
         return OperatorL(coeffs=self.coefficients, A=TraceClassOperator(self.eigenvalues))
 
     def initial_field(self) -> GridField:
-        return GridField.from_function(
-            self.grid.bounds,
-            self.grid.points_per_axis,
-            self.initial.function(self.dim),
-            boundary_mode=self.grid.boundary_mode,
-            boundary_value=self.grid.boundary_value,
-        )
+        """u0 sampled on the configured grid."""
+        return self.grid
 
     def plan(self, n: int) -> ChernoffPlan:
         return ChernoffPlan(
@@ -379,8 +350,34 @@ class ExperimentConfig:
             interpolation=self.interpolation,
         )
 
+    def oracle_problem(self) -> FDProblem:
+        """The finite-difference problem of a crank_nicolson oracle."""
+        spec = self.oracle
+        return FDProblem(
+            dim=self.dim,
+            coeffs=self.coefficients,
+            A=TraceClassOperator(self.eigenvalues),
+            bounds=spec.bounds,
+            points_per_axis=spec.points_per_axis,
+            t_final=self.t_final,
+            time_steps=spec.time_steps,
+            boundary=spec.boundary,
+        )
+
+    def exact_solution(self, x) -> np.ndarray:
+        """The exact_constant oracle's closed form at t_final on 1D points x."""
+        co = self.coefficients
+        return exact_constant_solution(
+            co.g.constant_value,
+            self.eigenvalues[0],
+            co.C.constant_value,
+            self.initial.wavenumber,
+            self.t_final,
+            x,
+        )
+
     def with_seed(self, seed: int) -> "ExperimentConfig":
-        quad = dataclasses.replace(self.quadrature, rng_seed=seed)
+        quad = _build("seed", dataclasses.replace, self.quadrature, rng_seed=seed)
         return dataclasses.replace(self, quadrature=quad)
 
 
@@ -388,24 +385,38 @@ def parse_config(data: Any) -> ExperimentConfig:
     """Validate a decoded JSON object and build the experiment it describes."""
     root = _mapping(data, "config")
     problem = _as_str(_pop(root, "problem", ""), "problem")
-    grid = _parse_grid(_pop(root, "grid", ""), "grid")
-    dim = len(grid.bounds)
-    eigenvalues = _parse_eigenvalues(_pop(root, "eigenvalues", ""), "eigenvalues")
+    grid_args = _parse_grid(_pop(root, "grid", ""), "grid")
+    dim = len(grid_args["bounds"])
+    eigenvalues = _float_list(_pop(root, "eigenvalues", ""), "eigenvalues")
     coefficients = _build_coefficients(_pop(root, "coefficients", ""), dim, "coefficients")
     initial = _build_initial(_pop(root, "initial", ""), dim, "initial")
     t_final = _as_float(_pop(root, "t_final", ""), "t_final")
     steps = _parse_steps(_pop(root, "steps", ""), "steps")
     quadrature = _parse_quadrature(_pop(root, "quadrature", ""), "quadrature")
-    interpolation = _as_str(_pop(root, "interpolation", "", default="cubic"), "interpolation")
-    oracle = _parse_oracle(_pop(root, "oracle", "", default=None), dim, "oracle")
+    oracle = _parse_oracle(_pop(root, "oracle", "", default=None), "oracle")
     output_raw = _pop(root, "output", "", default=None)
     output = None if output_raw is None else _as_str(output_raw, "output")
+    opts = _present(root, "", interpolation=_as_str)
     _no_extras(root, "config")
 
-    if t_final <= 0.0:
-        raise ConfigError("t_final: must be positive")
-    if interpolation not in ("cubic", "linear"):
-        raise ConfigError("interpolation: expected 'cubic' or 'linear'")
+    config = ExperimentConfig(
+        problem=problem,
+        eigenvalues=eigenvalues,
+        coefficients=coefficients,
+        initial=initial,
+        t_final=t_final,
+        steps=steps,
+        grid=_build("grid", GridField.from_function, fn=initial.function(dim), **grid_args),
+        quadrature=quadrature,
+        oracle=oracle,
+        output=output,
+        **opts,
+    )
+    _build("eigenvalues", config.operator)
+    for n in steps:
+        _build("config", config.plan, n)
+    if oracle is not None and oracle.kind == "crank_nicolson":
+        _build("oracle", config.oracle_problem)
     if oracle is not None and oracle.kind == "exact_constant":
         if dim != 1:
             raise ConfigError("oracle.kind: exact_constant needs a single-axis grid")
@@ -416,24 +427,7 @@ def parse_config(data: Any) -> ExperimentConfig:
             )
         if initial.kind != "cosine":
             raise ConfigError("initial.kind: exact_constant oracle requires a cosine initial condition")
-
-    config = ExperimentConfig(
-        problem=problem,
-        eigenvalues=eigenvalues,
-        coefficients=coefficients,
-        initial=initial,
-        t_final=t_final,
-        steps=steps,
-        grid=grid,
-        quadrature=quadrature,
-        interpolation=interpolation,
-        oracle=oracle,
-        output=output,
-    )
-    try:
-        config.operator()
-    except ValueError as exc:
-        raise ConfigError(f"eigenvalues: {exc}") from exc
+        _build("coefficients.C", config.exact_solution, np.empty(0))
     return config
 
 

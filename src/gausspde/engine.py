@@ -90,7 +90,7 @@ class GridField:
             raise ValueError(f"values have {vals.ndim} axes for {len(bounds)} bounds")
         sizes = set(vals.shape)
         if len(sizes) != 1 or min(vals.shape) < 2:
-            raise ValueError("grid must have the same per-axis point count, at least 2")
+            raise ValueError("points_per_axis must be the same on every axis and at least 2")
         if not np.all(np.isfinite(vals)):
             raise ValueError("field values must be finite")
         if self.boundary_mode not in _BOUNDARY_MODES:
@@ -460,6 +460,11 @@ def chernoff_solve(plan: ChernoffPlan, u0: GridField, checkpoint_steps: Sequence
         if not 1 <= int(k) <= plan.steps:
             raise ValueError(f"checkpoint step {k} outside 1..{plan.steps}")
     mask = u0.interior_mask(margin)
+    if not mask.any():
+        dx = max((hi - lo) / (u0.points_per_axis - 1) for lo, hi in u0.bounds)
+        raise TruncationError(
+            f"chain margin {margin:.3g} leaves no grid point in the interior at spacing {dx:.3g}; refine the grid"
+        )
     sup_norms = np.empty(plan.steps)
     interior = np.empty(plan.steps)
     checkpoints: dict[int, GridField] = {}

@@ -247,8 +247,9 @@ def mc_estimate(f: Evaluator, spec: GaussianSpec, quad: QuadratureSpec) -> tuple
     if quad.backend != "monte_carlo":
         raise ValueError("mc_estimate requires a monte_carlo QuadratureSpec")
     rng = philox_generator(quad.rng_seed)
-    draws = rng.standard_normal((quad.samples, spec.dim))
-    pts = spec.mean + np.sqrt(spec.variances) * draws
+    pts = rng.standard_normal((quad.samples, spec.dim))
+    pts *= np.sqrt(spec.variances)
+    pts += spec.mean
     vals = _evaluate(f, pts)
     se = float(vals.std(ddof=1) / math.sqrt(quad.samples)) if quad.samples > 1 else math.inf
     return float(vals.mean()), se

@@ -117,6 +117,27 @@ def test_malformed_config_exits_2_naming_the_field(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_bad_oracle_value_exits_2_naming_the_field(tmp_path, capsys):
+    data = json.loads((CONFIG_DIR / "converge_variable_g.json").read_text())
+    data["oracle"]["time_steps"] = 0
+    path = write_config(tmp_path, data)
+    assert main(["converge", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: oracle") and "time_steps" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_exact_oracle_with_growing_c_exits_2_before_solving(tmp_path, capsys):
+    data = json.loads((CONFIG_DIR / "solve_constant.json").read_text())
+    data["coefficients"]["C"]["value"] = 0.5
+    data["coefficients"]["contractive"] = False
+    path = write_config(tmp_path, data)
+    assert main(["converge", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: coefficients.C")
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_engine_failure_exits_3(tmp_path, capsys):
     data = fast_verify_dict()
     data["grid"] = {"bounds": [[-2.0, 2.0]], "points_per_axis": 64, "boundary_mode": "clamp"}

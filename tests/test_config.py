@@ -10,6 +10,8 @@ from numpy.testing import assert_allclose
 
 from gausspde.config import ConfigError, load_config, parse_config
 from gausspde.engine import ChernoffPlan, GridField
+from gausspde.gauss import QuadratureSpec
+from gausspde.oracle import FDProblem
 
 
 def base_dict():
@@ -248,6 +250,72 @@ def test_crank_nicolson_oracle_fields():
         del data["oracle"][missing]
         with pytest.raises(ConfigError, match=f"oracle.{missing}"):
             parse_config(data)
+
+
+def cn_oracle(**updates):
+    oracle = {"kind": "crank_nicolson", "bounds": [[-math.pi, math.pi]], "points_per_axis": 256, "time_steps": 100}
+    oracle.update(updates)
+    return oracle
+
+
+def with_section(section, **updates):
+    data = base_dict()
+    data[section].update(updates)
+    return data
+
+
+BAD_VALUES = {
+    "grid_single_point": (with_section("grid", points_per_axis=1), r"^grid\b.*points_per_axis"),
+    "oracle_few_points": (variant(oracle=cn_oracle(points_per_axis=4)), r"^oracle\b.*points_per_axis"),
+    "oracle_no_time_steps": (variant(oracle=cn_oracle(time_steps=0)), r"^oracle\b.*time_steps"),
+    "oracle_neumann": (variant(oracle=cn_oracle(boundary="neumann")), r"^oracle\b.*boundary"),
+    "oracle_three_axes": (
+        variant(
+            eigenvalues=[0.5, 0.25, 0.125],
+            grid={"bounds": [[-9.0, 9.0]] * 3, "points_per_axis": 8},
+            oracle=cn_oracle(bounds=[[-3.0, 3.0]] * 3),
+        ),
+        r"^oracle\b.*1 or 2",
+    ),
+    "t_final_zero": (variant(t_final=0), r"t_final"),
+    "g_floor_negative": (with_section("coefficients", g_floor=-1), r"^coefficients\b.*g_floor"),
+    "exact_oracle_growing_c": (
+        with_section("coefficients", C={"kind": "constant", "value": 0.5}, contractive=False),
+        r"^coefficients\.C\b",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_VALUES))
+def test_bad_values_raise_config_errors_naming_the_field(name):
+    data, message = BAD_VALUES[name]
+    with pytest.raises(ConfigError, match=message):
+        parse_config(data)
+
+
+def test_grid_is_the_initial_field_with_the_library_defaults():
+    cfg = parse_config(base_dict())
+    assert isinstance(cfg.grid, GridField)
+    assert cfg.initial_field() is cfg.grid
+    assert cfg.grid.bounds == ((-9.2, 9.2),) and cfg.grid.points_per_axis == 512
+    quad = parse_config(variant(quadrature={"backend": "monte_carlo"})).quadrature
+    assert quad == QuadratureSpec(backend="monte_carlo")
+    assert parse_config(variant(oracle=cn_oracle())).oracle.boundary == FDProblem.boundary
+
+
+def test_oracle_problem_carries_the_oracle_section():
+    cfg = parse_config(variant(oracle=cn_oracle(boundary="dirichlet")))
+    problem = cfg.oracle_problem()
+    assert isinstance(problem, FDProblem)
+    assert problem.bounds == ((-math.pi, math.pi),)
+    assert (problem.points_per_axis, problem.time_steps, problem.boundary) == (256, 100, "dirichlet")
+    assert problem.t_final == cfg.t_final and problem.coeffs is cfg.coefficients
+
+
+def test_exact_solution_is_the_closed_form():
+    cfg = parse_config(base_dict())
+    x = np.linspace(-1.0, 1.0, 5)
+    assert_allclose(cfg.exact_solution(x), math.exp(-1.5) * np.cos(x), rtol=1e-15)
 
 
 def test_grid_and_scalar_validation():

@@ -408,6 +408,18 @@ def test_chernoff_domain_too_small():
         chernoff_solve(plan, u0)
 
 
+def test_chernoff_empty_interior_is_a_truncation_error():
+    # 2 * margin < width, yet neither grid point lies at least `margin` inside the box
+    op = const_op(g=1.0, c=0.0, q=(0.5,), contractive=True)
+    u0 = GridField.from_function([(-3.0, 3.0)], 2, lambda x: np.cos(x[:, 0]))
+    plan = ChernoffPlan(t_final=0.05, steps=4, quad=GH, op=op)
+    assert plan.required_margin() == pytest.approx(1.34, abs=5e-3)
+    with pytest.raises(TruncationError, match=r"margin 1\.34.*spacing 6"):
+        chernoff_solve(plan, u0)
+    with pytest.raises(TruncationError, match="no grid point"):
+        coefficient_continuity_probe(op, op, plan, u0)
+
+
 # ---------------------------------------------------------------- continuity
 
 
