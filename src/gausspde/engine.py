@@ -18,13 +18,11 @@ bounds must exceed the region of interest by the accumulated margin
 interior points only.
 
 On a grid S_tau is linear and the same at every step.  With Gauss-Hermite nodes
-it is therefore compiled once per chernoff_solve (and once per apply_S call):
-the node positions, spline taps, quadrature and drift weights and the prefactor
-go into fixed tables (_CompiledGHStep), and a step is the B-spline prefilter
-plus a contraction with them.  The tables take about M K (order + 1) * 12 bytes
-per axis for M grid points and K nodes per axis.  Monte Carlo draws fresh nodes
-at every step (Philox stream k-1), so there is nothing fixed to compile; its
-step is rebuilt each time by _one_step_values, which also evaluates
+it is therefore compiled once per chernoff_solve (and once per apply_S call)
+into one sparse 1D factor per axis (_CompiledGHStep), about d M K (order + 1)
+* 12 bytes for M grid points and K nodes per axis.  Monte Carlo draws fresh
+nodes at every step (Philox stream k-1), so there is nothing fixed to compile;
+its step is rebuilt each time by _one_step_values, which also evaluates
 tangency_residual's analytic functions.
 """
 
@@ -62,9 +60,16 @@ __all__ = [
 
 _ORDERS = {"linear": 1, "cubic": 3}
 _BOUNDARY_MODES = ("clamp", "constant")
-# coefficients gathered at once by the d >= 2 contraction: 512 KB of values plus
-# their indices stay in L2, which measured faster than larger chunks
-_PATCH_ELEMENTS = 1 << 16
+_POINTS_MESSAGE = "points_per_axis must be the same on every axis and at least 2"
+# field values gathered at once by the per-node step: K M of them for K nodes and M points
+_GATHER_ELEMENTS = 4_000_000
+
+
+def _spline_order(interpolation: str) -> int:
+    """Spline order of an interpolation name; raises ValueError for an unknown name."""
+    if interpolation not in _ORDERS:
+        raise ValueError(f"interpolation must be one of {tuple(_ORDERS)}")
+    return _ORDERS[interpolation]
 
 
 class TruncationError(RuntimeError):
@@ -90,7 +95,7 @@ class GridField:
             raise ValueError(f"values have {vals.ndim} axes for {len(bounds)} bounds")
         sizes = set(vals.shape)
         if len(sizes) != 1 or min(vals.shape) < 2:
-            raise ValueError("points_per_axis must be the same on every axis and at least 2")
+            raise ValueError(_POINTS_MESSAGE)
         if not np.all(np.isfinite(vals)):
             raise ValueError("field values must be finite")
         if self.boundary_mode not in _BOUNDARY_MODES:
@@ -102,6 +107,8 @@ class GridField:
 
     @classmethod
     def from_function(cls, bounds, points_per_axis: int, fn, boundary_mode="clamp", boundary_value=0.0):
+        if points_per_axis < 2:
+            raise ValueError(_POINTS_MESSAGE)
         bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
         axes = [np.linspace(lo, hi, points_per_axis) for lo, hi in bounds]
         mesh = np.meshgrid(*axes, indexing="ij")
@@ -152,22 +159,15 @@ def _spline_mode(fld: GridField) -> tuple[str, float]:
     return "grid-constant", fld.boundary_value
 
 
-def _prefilter(values: np.ndarray, order: int, mode: str) -> np.ndarray:
-    """B-spline coefficients of the samples (the samples themselves for linear)."""
-    if order == 1:
-        return values
-    return ndi.spline_filter(values, order=order, mode=mode, output=np.float64)
-
-
 class _FieldEvaluator:
     """Spline evaluator for a GridField; prefilters once, then maps batches."""
 
     def __init__(self, fld: GridField, interpolation: str):
-        if interpolation not in _ORDERS:
-            raise ValueError(f"interpolation must be one of {tuple(_ORDERS)}")
-        self.order = _ORDERS[interpolation]
+        self.order = _spline_order(interpolation)
         self.mode, self.cval = _spline_mode(fld)
-        self.coeffs = _prefilter(fld.values, self.order, self.mode)
+        self.coeffs = fld.values
+        if self.order > 1:
+            self.coeffs = ndi.spline_filter(fld.values, order=self.order, mode=self.mode, output=np.float64)
         self.lo = np.array([lo for lo, _ in fld.bounds])
         self.dx = np.array([(hi - lo) / (fld.points_per_axis - 1) for lo, hi in fld.bounds])
 
@@ -193,8 +193,7 @@ class ChernoffPlan:
             raise ValueError("t_final must be positive")
         if self.steps < 1:
             raise ValueError("steps must be a positive integer")
-        if self.interpolation not in _ORDERS:
-            raise ValueError(f"interpolation must be one of {tuple(_ORDERS)}")
+        _spline_order(self.interpolation)
 
     @property
     def tau(self) -> float:
@@ -243,7 +242,7 @@ def _one_step_values(
 
     beta = None if b is None else b / (2.0 * g)[:, None]
     acc = np.zeros(m)
-    chunk = max(1, 4_000_000 // m)
+    chunk = max(1, _GATHER_ELEMENTS // m)
     for k0 in range(0, znodes.shape[0], chunk):
         zc = znodes[k0 : k0 + chunk]
         wc = weights[k0 : k0 + chunk]
@@ -271,7 +270,7 @@ def _spline_taps(idx: np.ndarray, order: int, size: int, mode: str) -> tuple[np.
     padding cell holding cval, so columns address the coefficients padded by one cell.
     """
     base = np.floor(idx)
-    cols = base.astype(np.int32)[..., None] + (np.arange(order + 1, dtype=np.int32) - order // 2)
+    cols = base.astype(np.intp)[..., None] + (np.arange(order + 1, dtype=np.intp) - order // 2)
     t = np.subtract(idx, base, out=base)
     w = np.empty(idx.shape + (order + 1,))
     if order == 1:
@@ -293,33 +292,54 @@ def _spline_taps(idx: np.ndarray, order: int, size: int, mode: str) -> tuple[np.
     return cols, w
 
 
-class _CompiledGHStep:
-    """S_tau with Gauss-Hermite nodes on one grid, compiled once into fixed weight tables.
+def _axis_matrix(idx: np.ndarray, axis: int, shape: tuple, order: int, mode: str) -> sp.csr_matrix:
+    """Sparse matrix of the spline taps at grid index idx[k, p] along `axis` of a field of `shape`.
 
-    The nodes x + sqrt(2 tau g(x)) z_k, the prefactor e^{tau C - tau <AB, B>/4g} and the
-    drift weights do not depend on the field, so a step is the spline prefilter followed
-    by a fixed linear map.  In 1D that map is a sparse matrix of spline taps at the
-    nodes, followed by the node sum exactly as in the per-node operator, so results are
-    bit-identical to it (while K M <= 4e6, where it sums all nodes at once).  For d >= 2
-    tensor nodes, the tensor B-spline and the drift
-    weight (A is diagonal) factor per axis: axis i holds, for every grid point, the
-    column and weight w_k e^{beta_i s sqrt(q_i) z_k} B(offset) of each of its
-    K (order + 1) taps, and the step contracts each point's coefficient patch with
-    them axis by axis; the summation order changes, so results move in the last bits.
+    Row k M + p reads the coefficients on point p's line along `axis`, which "grid-constant"
+    pads by one cell at each end of that axis.  Columns are flat indices into them, in intp
+    since 4-axis grids can pass 2^31 cells; scipy stores them in int32 when they fit.
+    """
+    size = shape[axis]
+    padded = size + 2 if mode == "grid-constant" else size
+    cols, w = _spline_taps(idx, order, size, mode)
+    inner = math.prod(shape[axis + 1 :])
+    point = np.arange(idx.shape[1], dtype=np.intp)
+    cols *= inner
+    cols += (point // (size * inner) * (padded * inner) + point % inner)[:, None]
+    return sp.csr_matrix(
+        (w.ravel(), cols.ravel(), np.arange(0, w.size + 1, order + 1, dtype=np.intp)),
+        shape=(w.size // (order + 1), idx.shape[1] // size * padded),
+    )
+
+
+class _CompiledGHStep:
+    """S_tau with Gauss-Hermite nodes on one grid, compiled once into one sparse factor per axis.
+
+    A is diagonal, so the step moves points one axis at a time: factor i is the spline
+    prefilter along axis i, the spline taps at the nodes x + sqrt(2 tau g(x) q_i) z_k e_i
+    (a sparse matrix), the drift weight e^{beta_i s sqrt(q_i) z_k} and the node sum; the
+    prefactor e^{tau C - tau <AB, B>/4g} follows the last factor.  In 1D this is the
+    per-node operator's own summation, so results are bit-identical to it (while
+    K M <= 4e6, where it sums all nodes at once).  In d >= 2 the factors' product is the
+    tensor step, up to rounding, when g depends on x_1 only and B_j on x_1 .. x_j only, so
+    that no factor's weights change along the axes filtered after it; otherwise it is their
+    Lie product, O(tau^2) per step from it and still first order (Chernoff 1968).
+
+    With boundary_mode "constant", reads past the edge along axis i see what factors
+    0 .. i-1 make of the constant boundary_value field; its edge slabs are built once.
     """
 
     def __init__(self, op: OperatorL, tau: float, grid: GridField, nodes_per_dim: int, interpolation: str):
         dim = grid.dim
         if dim > GH_MAX_DIM:
             raise ValueError(f"gauss_hermite backend supports dimension <= {GH_MAX_DIM}, got {dim}")
-        self.order = _ORDERS[interpolation]
+        self.order = _spline_order(interpolation)
         self.mode, self.cval = _spline_mode(grid)
         self.shape = grid.values.shape
         size = grid.points_per_axis
         co = op.coeffs
         q = op.q
         pts = grid.meshpoints()
-        m = pts.shape[0]
         g = co.g_at(pts)
         c = co.c_at(pts)
         b = co.b_at(pts)
@@ -329,76 +349,43 @@ class _CompiledGHStep:
         else:
             self.prefactor = np.exp(tau * c - tau * ((b * b) @ q) / (4.0 * g))
         z1, self.node_weights = _gh_standard(nodes_per_dim, 1)
-        padded = size + 2 if self.mode == "grid-constant" else size
-        origin = [lo for lo, _ in grid.bounds]
-        spacing = [(hi - lo) / (size - 1) for lo, hi in grid.bounds]
 
-        if dim == 1:
-            zc = z1[:, 0] * np.sqrt(q[0])
-            idx = (pts[None, :, 0] + s[None, :] * zc[:, None] - origin[0]) / spacing[0]
-            cols, w = _spline_taps(idx, self.order, size, self.mode)
-            self.matrix = sp.csr_matrix(
-                (w.ravel(), cols.ravel(), np.arange(0, w.size + 1, self.order + 1, dtype=cols.dtype)),
-                shape=(w.size // (self.order + 1), padded),
-            )
-            self.drift = None
-            if b is not None:
-                beta = b / (2.0 * g)[:, None]
-                self.drift = np.exp(np.einsum("mn,kn->km", beta, zc[:, None]) * s[None, :])
-            return
+        self.matrices, self.drifts = [], []
+        for i, (lo, hi) in enumerate(grid.bounds):
+            zc = z1[:, 0] * np.sqrt(q[i])
+            # node grid indices go straight in, so they are freed before the next axis is built
+            self.matrices.append(_axis_matrix(
+                (pts[None, :, i] + s[None, :] * zc[:, None] - lo) / ((hi - lo) / (size - 1)),
+                i, self.shape, self.order, self.mode,
+            ))
+            self.drifts.append(None if b is None else np.exp(np.outer(zc, b[:, i] / (2.0 * g)) * s[None, :]))
 
-        self.cols, self.weights = [], []
-        for i in range(dim):
-            zi = z1[:, 0] * np.sqrt(q[i])
-            idx = (pts[:, i, None] + s[:, None] * zi - origin[i]) / spacing[i]
-            cols, w = _spline_taps(idx, self.order, size, self.mode)
-            node_w = self.node_weights
-            if b is not None:
-                node_w = node_w * np.exp((b[:, i] / (2.0 * g) * s)[:, None] * zi)
-            w *= node_w[..., None]
-            self.cols.append(cols.reshape(m, -1))
-            self.weights.append(w.reshape(m, -1))
-        # per-axis columns are int32; flat offsets into the coefficients are intp
-        self.strides = [np.intp(padded ** (dim - 1 - i)) for i in range(dim)]
+        self.edges = []
+        if self.mode == "grid-constant":
+            exterior = np.full(self.shape, self.cval)
+            for i in range(dim):
+                self.edges.append((exterior.take([0], axis=i), exterior.take([-1], axis=i)))
+                if i + 1 < dim:
+                    exterior = self._factor(i, exterior)
+
+    def _factor(self, i: int, coeffs: np.ndarray) -> np.ndarray:
+        """Axis-i factor without the prefactor, on coefficients already prefiltered along axis i."""
+        if self.edges:
+            coeffs = np.concatenate((self.edges[i][0], coeffs, self.edges[i][1]), axis=i)
+        node_vals = (self.matrices[i] @ coeffs.ravel()).reshape(self.node_weights.size, -1)
+        if self.drifts[i] is not None:
+            node_vals = node_vals * self.drifts[i]
+        return (self.node_weights @ node_vals).reshape(self.shape)
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
-        coeffs = _prefilter(values, self.order, self.mode)
-        if self.mode == "grid-constant":
-            coeffs = np.pad(coeffs, 1, constant_values=self.cval)
-        if len(self.shape) == 1:
-            node_vals = (self.matrix @ coeffs).reshape(self.node_weights.size, -1)
-            if self.drift is not None:
-                node_vals = node_vals * self.drift
-            out = self.prefactor * (self.node_weights @ node_vals)
-        else:
-            out = self.prefactor * self._contract(coeffs.ravel())
+        for i in range(len(self.shape)):
+            if self.order > 1:
+                values = ndi.spline_filter1d(values, order=self.order, axis=i, mode=self.mode, output=np.float64)
+            values = self._factor(i, values)
+        out = self.prefactor * values.ravel()
         if not np.all(np.isfinite(out)):
             raise IntegrandError("one-step integral produced a non-finite value")
         return out.reshape(self.shape)
-
-    def _contract(self, flat: np.ndarray) -> np.ndarray:
-        """Sum over each point's lanes^d coefficient patch, gathered in chunks of points."""
-        m, lanes = self.cols[0].shape
-        tail = lanes ** (len(self.cols) - 1)
-        chunk = max(1, _PATCH_ELEMENTS // (lanes * tail))
-        # when one point's patch alone exceeds the budget, gather it in slices along axis 0
-        block = lanes if chunk > 1 else max(1, _PATCH_ELEMENTS // tail)
-        out = np.empty(m)
-        for p0 in range(0, m, chunk):
-            rows = slice(p0, p0 + chunk)
-            n = min(chunk, m - p0)
-            tail_idx = np.zeros((n, 1), dtype=np.intp)
-            for cols, stride in zip(self.cols[1:], self.strides[1:]):
-                tail_idx = (tail_idx[:, :, None] + cols[rows, None, :] * stride).reshape(n, -1)
-            acc = np.zeros(n)
-            for a0 in range(0, lanes, block):
-                lead = self.cols[0][rows, a0 : a0 + block] * self.strides[0]
-                vals = np.take(flat, lead[:, :, None] + tail_idx[:, None, :])
-                for w in reversed(self.weights[1:]):
-                    vals = np.matmul(vals.reshape(n, -1, lanes), w[rows, :, None])
-                acc += np.einsum("pa,pa->p", vals.reshape(n, -1), self.weights[0][rows, a0 : a0 + block])
-            out[rows] = acc
-        return out
 
 
 def _compile_step(op: OperatorL, tau: float, grid: GridField, quad: QuadratureSpec, interpolation: str):
@@ -408,8 +395,7 @@ def _compile_step(op: OperatorL, tau: float, grid: GridField, quad: QuadratureSp
     a fresh node set from Philox stream `stream` at every step, so its nodes are not
     fixed and its step is rebuilt on each call.
     """
-    if interpolation not in _ORDERS:
-        raise ValueError(f"interpolation must be one of {tuple(_ORDERS)}")
+    _spline_order(interpolation)
     if not (math.isfinite(tau) and tau > 0.0):
         raise ValueError("tau must be positive")
     if grid.dim != op.dim:

@@ -266,6 +266,7 @@ def with_section(section, **updates):
 
 BAD_VALUES = {
     "grid_single_point": (with_section("grid", points_per_axis=1), r"^grid\b.*points_per_axis"),
+    "grid_negative_points": (with_section("grid", points_per_axis=-3), r"^grid\b.*points_per_axis"),
     "oracle_few_points": (variant(oracle=cn_oracle(points_per_axis=4)), r"^oracle\b.*points_per_axis"),
     "oracle_no_time_steps": (variant(oracle=cn_oracle(time_steps=0)), r"^oracle\b.*time_steps"),
     "oracle_neumann": (variant(oracle=cn_oracle(boundary="neumann")), r"^oracle\b.*boundary"),

@@ -202,16 +202,17 @@ def rough_field(dim, pts, half, **kw):
     return GridField.from_function([(-half, half)] * dim, pts, fn, **kw)
 
 
-@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("interpolation", ["cubic", "linear"])
 @pytest.mark.parametrize("mode", ["clamp", "constant"])
 @pytest.mark.parametrize("drift", [False, True])
 def test_compiled_step_matches_per_node_reference(dim, interpolation, mode, drift):
+    # g depends on x1 and B_i on x_i only, so the per-axis factors reproduce the tensor step
     op = variable_op(dim, drift)
-    nodes = (16, 8)[dim - 1]
+    nodes = (16, 8, 8)[dim - 1]
     quad = QuadratureSpec(backend="gauss_hermite", nodes_per_dim=nodes)
     half, tau = 3.0, 0.4
-    u = rough_field(dim, (200, 24)[dim - 1], half, boundary_mode=mode, boundary_value=0.75)
+    u = rough_field(dim, (200, 24, 10)[dim - 1], half, boundary_mode=mode, boundary_value=0.75)
     # the outermost nodes of the edge points read more than a sixth of the box past the edge
     z_max = math.sqrt(2.0) * np.polynomial.hermite.hermgauss(nodes)[0].max()
     assert math.sqrt(2 * tau * 0.5 * 0.25) * z_max > 2 * half / 6
@@ -225,13 +226,32 @@ def test_compiled_step_matches_per_node_reference(dim, interpolation, mode, drif
 
 @pytest.mark.parametrize("budget", [1 << 16, 64])
 def test_compiled_step_3d_patch_gather(monkeypatch, budget):
-    # a small budget gathers one point at a time, in slices along axis 0
-    monkeypatch.setattr(engine, "_PATCH_ELEMENTS", budget)
+    # a small budget makes the per-node reference gather the field at one node at a time
+    monkeypatch.setattr(engine, "_GATHER_ELEMENTS", budget)
     op = variable_op(3, drift=True)
     quad = QuadratureSpec(backend="gauss_hermite", nodes_per_dim=4)
     u = rough_field(3, 7, 3.0, boundary_mode="constant", boundary_value=0.5)
     ref = _one_step_values(op, 0.3, _FieldEvaluator(u, "cubic"), u.meshpoints(), quad)
     assert np.max(np.abs(apply_S(op, 0.3, u, quad).values.ravel() - ref)) <= 1e-13
+
+
+def test_compiled_step_is_the_lie_product_when_g_varies_along_a_later_axis():
+    # g = 1 + sin(x2)/2 changes along axis 2, which is filtered after the axis-1 factor,
+    # so the factors do not commute: the step is their Lie product, O(tau^2) from the tensor step
+    g = CylFunction(dim=2, eval=lambda x: 1.0 + 0.5 * np.sin(x[:, 1]), sup_bound=1.5)
+    co = Coefficients(g=g, B=None, C=CylFunction.constant(0.0, 2), g_floor=0.5)
+    op = OperatorL(coeffs=co, A=TraceClassOperator([0.5, 0.25]))
+    quad = QuadratureSpec(backend="gauss_hermite", nodes_per_dim=8)
+    u = GridField.from_function([(-6.0, 6.0)] * 2, 48, lambda x: np.cos(x[:, 0]) * np.cos(x[:, 1]))
+    taus = (0.2, 0.1, 0.05)
+    # the clamped edge is a kink of the extended field; compare where no node reaches it
+    mask = u.interior_mask(ChernoffPlan(t_final=taus[0], steps=1, quad=quad, op=op).required_margin()).ravel()
+    dev = []
+    for tau in taus:
+        ref = _one_step_values(op, tau, _FieldEvaluator(u, "cubic"), u.meshpoints(), quad)
+        dev.append(np.max(np.abs(apply_S(op, tau, u, quad).values.ravel() - ref)[mask]))
+    assert dev[0] > 1e-3
+    assert dev[0] >= 3.0 * dev[1] and dev[1] >= 3.0 * dev[2]
 
 
 @pytest.mark.parametrize("dim", [1, 2])
