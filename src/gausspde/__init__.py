@@ -45,6 +45,7 @@ from .gauss import (
     expect_linear_exp,
     expect_quadratic,
     expect_quadratic_exp,
+    gaussian_nodes,
     integrate,
     mc_estimate,
     philox_generator,
@@ -82,6 +83,7 @@ __all__ = [
     "expect_quadratic",
     "expect_quadratic_exp",
     "fd_solve",
+    "gaussian_nodes",
     "gradient",
     "integrate",
     "load_config",

@@ -8,8 +8,8 @@ The step with coefficients (g, B, C) and diagonal A = diag(q) is
 which is tangent to (L u)(x) = g(x) sum_i q_i u_ii + sum_i q_i B_i(x) u_i + C(x) u
 as tau -> 0 and reduces to plain Gaussian smoothing times e^{tau C} when B = 0.
 The measure is evaluated through the substitution y = sqrt(2 tau g(x)) z with
-z ~ N(0, diag q), so Gauss-Hermite nodes and Monte Carlo draws are shared
-across all grid points of one application.
+z ~ N(0, diag q): gauss.gaussian_nodes owns the node set, shared by all points
+of one application, and _step_coefficients the per-point factors.
 
 Solutions of u'_t = L u are approximated by (S_{t/n})^n u0 on a truncated
 grid: each step smooths over a Gaussian of scale sqrt(2 tau g q_1), so grid
@@ -17,19 +17,19 @@ bounds must exceed the region of interest by the accumulated margin
 6 sqrt(2 t g_max q_1) (plus t q_1 B_0 under drift); assertions apply to
 interior points only.
 
-On a grid S_tau is linear and the same at every step.  With Gauss-Hermite nodes
-it is therefore compiled once per chernoff_solve (and once per apply_S call)
-into one sparse 1D factor per axis (_CompiledGHStep), about d M K (order + 1)
-* 12 bytes for M grid points and K nodes per axis.  Monte Carlo draws fresh
-nodes at every step (Philox stream k-1), so there is nothing fixed to compile;
-its step is rebuilt each time by _one_step_values, which also evaluates
-tangency_residual's analytic functions.
+On a grid S_tau is linear and the same at every step, so the grid points and
+per-point factors are computed once per chernoff_solve (and per apply_S call)
+for both backends.  Gauss-Hermite node sums are compiled into one sparse 1D
+factor per axis (_CompiledGHStep), about d M K (order + 1) * 12 bytes for M
+grid points and K nodes per axis.  Monte Carlo draws fresh nodes at every step
+(Philox stream k-1) and sums them by _node_sum, as tangency_residual does.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -38,13 +38,7 @@ import scipy.ndimage as ndi
 import scipy.sparse as sp
 
 from .cylinder import Coefficients, CylFunction, OperatorL, apply_L
-from .gauss import (
-    GH_MAX_DIM,
-    IntegrandError,
-    QuadratureSpec,
-    _gh_standard,
-    philox_generator,
-)
+from .gauss import GH_MAX_DIM, IntegrandError, QuadratureSpec, gaussian_nodes
 
 __all__ = [
     "ChernoffPlan",
@@ -191,7 +185,7 @@ class ChernoffPlan:
     def __post_init__(self):
         if not (math.isfinite(self.t_final) and self.t_final > 0.0):
             raise ValueError("t_final must be positive")
-        if self.steps < 1:
+        if not (isinstance(self.steps, numbers.Integral) and self.steps >= 1):
             raise ValueError("steps must be a positive integer")
         _spline_order(self.interpolation)
 
@@ -213,6 +207,43 @@ def _margin(op: OperatorL, t: float) -> float:
     return m
 
 
+def _step_coefficients(op: OperatorL, tau: float, pts: np.ndarray):
+    """Per-point factors of S_tau at pts: scale sqrt(2 tau g), drift tilt B/(2g) (None without
+    drift) and prefactor e^{tau C - tau <A B, B>/(4 g)}."""
+    co = op.coeffs
+    g = co.g_at(pts)
+    c = co.c_at(pts)
+    b = co.b_at(pts)
+    scale = np.sqrt(2.0 * tau * g)
+    if b is None:
+        return scale, None, np.exp(tau * c)
+    return scale, b / (2.0 * g)[:, None], np.exp(tau * c - tau * ((b * b) @ op.q) / (4.0 * g))
+
+
+def _node_sum(eval_fn: Callable[[np.ndarray], np.ndarray], pts: np.ndarray, scale: np.ndarray,
+              tilt: Optional[np.ndarray], nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_k w_k f(x + s(x) z_k) e^{s(x) <tilt(x), z_k>} at pts, for a node set z_k of N(0, diag q)."""
+    m, n = pts.shape
+    acc = np.zeros(m)
+    chunk = max(1, _GATHER_ELEMENTS // m)
+    for k0 in range(0, nodes.shape[0], chunk):
+        zc = nodes[k0 : k0 + chunk]
+        pos = pts[None, :, :] + scale[None, :, None] * zc[:, None, :]
+        vals = eval_fn(pos.reshape(-1, n)).reshape(zc.shape[0], m)
+        if tilt is not None:
+            vals = vals * np.exp(np.einsum("mn,kn->km", tilt, zc) * scale[None, :])
+        acc += weights[k0 : k0 + chunk] @ vals
+    return acc
+
+
+def _prefactored(prefactor: np.ndarray, node_sum: np.ndarray) -> np.ndarray:
+    """The step's values prefactor * node_sum; raises IntegrandError if any is not finite."""
+    out = prefactor * node_sum
+    if not np.all(np.isfinite(out)):
+        raise IntegrandError("one-step integral produced a non-finite value")
+    return out
+
+
 def _one_step_values(
     op: OperatorL,
     tau: float,
@@ -222,43 +253,8 @@ def _one_step_values(
     stream: tuple = (),
 ) -> np.ndarray:
     """(S_tau f)(x) at the given points, f supplied as a vectorized evaluator."""
-    co = op.coeffs
-    q = op.q
-    m, n = pts.shape
-    g = co.g_at(pts)
-    c = co.c_at(pts)
-    b = co.b_at(pts)
-    s = np.sqrt(2.0 * tau * g)
-
-    if quad.backend == "gauss_hermite":
-        if n > GH_MAX_DIM:
-            raise ValueError(f"gauss_hermite backend supports dimension <= {GH_MAX_DIM}, got {n}")
-        znodes, weights = _gh_standard(quad.nodes_per_dim, n)
-        znodes = znodes * np.sqrt(q)
-    else:
-        rng = philox_generator(quad.rng_seed, stream)
-        znodes = rng.standard_normal((quad.samples, n)) * np.sqrt(q)
-        weights = np.full(quad.samples, 1.0 / quad.samples)
-
-    beta = None if b is None else b / (2.0 * g)[:, None]
-    acc = np.zeros(m)
-    chunk = max(1, _GATHER_ELEMENTS // m)
-    for k0 in range(0, znodes.shape[0], chunk):
-        zc = znodes[k0 : k0 + chunk]
-        wc = weights[k0 : k0 + chunk]
-        pos = pts[None, :, :] + s[None, :, None] * zc[:, None, :]
-        vals = eval_fn(pos.reshape(-1, n)).reshape(zc.shape[0], m)
-        if beta is not None:
-            vals = vals * np.exp(np.einsum("mn,kn->km", beta, zc) * s[None, :])
-        acc += wc @ vals
-
-    if b is None:
-        out = np.exp(tau * c) * acc
-    else:
-        out = np.exp(tau * c - tau * ((b * b) @ q) / (4.0 * g)) * acc
-    if not np.all(np.isfinite(out)):
-        raise IntegrandError("one-step integral produced a non-finite value")
-    return out
+    scale, tilt, prefactor = _step_coefficients(op, tau, pts)
+    return _prefactored(prefactor, _node_sum(eval_fn, pts, scale, tilt, *gaussian_nodes(quad, op.q, stream)))
 
 
 def _spline_taps(idx: np.ndarray, order: int, size: int, mode: str) -> tuple[np.ndarray, np.ndarray]:
@@ -313,52 +309,42 @@ def _axis_matrix(idx: np.ndarray, axis: int, shape: tuple, order: int, mode: str
 
 
 class _CompiledGHStep:
-    """S_tau with Gauss-Hermite nodes on one grid, compiled once into one sparse factor per axis.
+    """Node sum of S_tau with Gauss-Hermite nodes on one grid, as one sparse factor per axis.
 
-    A is diagonal, so the step moves points one axis at a time: factor i is the spline
-    prefilter along axis i, the spline taps at the nodes x + sqrt(2 tau g(x) q_i) z_k e_i
-    (a sparse matrix), the drift weight e^{beta_i s sqrt(q_i) z_k} and the node sum; the
-    prefactor e^{tau C - tau <AB, B>/4g} follows the last factor.  In 1D this is the
-    per-node operator's own summation, so results are bit-identical to it (while
-    K M <= 4e6, where it sums all nodes at once).  In d >= 2 the factors' product is the
-    tensor step, up to rounding, when g depends on x_1 only and B_j on x_1 .. x_j only, so
-    that no factor's weights change along the axes filtered after it; otherwise it is their
-    Lie product, O(tau^2) per step from it and still first order (Chernoff 1968).
+    Built once per plan from the grid points and _step_coefficients' scale and tilt.  A is
+    diagonal, so the step moves points one axis at a time: factor i is the spline prefilter
+    along axis i, the spline taps at the nodes x + sqrt(2 tau g(x) q_i) z_k e_i of the 1D rule
+    gaussian_nodes gives for q_i (a sparse matrix), the drift weight e^{beta_i s sqrt(q_i) z_k}
+    and the node sum; the caller applies the prefactor.  In 1D this is _node_sum's own
+    summation, so results are bit-identical to it (while K M <= 4e6, where it sums all nodes
+    at once).  In d >= 2 the factors' product is the tensor step, up to rounding, when g
+    depends on x_1 only and B_j on x_1 .. x_j only, so that no factor's weights change along
+    the axes filtered after it; otherwise it is their Lie product, O(tau^2) per step from it
+    and still first order (Chernoff 1968).
 
     With boundary_mode "constant", reads past the edge along axis i see what factors
     0 .. i-1 make of the constant boundary_value field; its edge slabs are built once.
     """
 
-    def __init__(self, op: OperatorL, tau: float, grid: GridField, nodes_per_dim: int, interpolation: str):
+    def __init__(self, grid: GridField, pts: np.ndarray, scale: np.ndarray, tilt: Optional[np.ndarray],
+                 q: np.ndarray, quad: QuadratureSpec, interpolation: str):
         dim = grid.dim
         if dim > GH_MAX_DIM:
             raise ValueError(f"gauss_hermite backend supports dimension <= {GH_MAX_DIM}, got {dim}")
         self.order = _spline_order(interpolation)
         self.mode, self.cval = _spline_mode(grid)
         self.shape = grid.values.shape
-        size = grid.points_per_axis
-        co = op.coeffs
-        q = op.q
-        pts = grid.meshpoints()
-        g = co.g_at(pts)
-        c = co.c_at(pts)
-        b = co.b_at(pts)
-        s = np.sqrt(2.0 * tau * g)
-        if b is None:
-            self.prefactor = np.exp(tau * c)
-        else:
-            self.prefactor = np.exp(tau * c - tau * ((b * b) @ q) / (4.0 * g))
-        z1, self.node_weights = _gh_standard(nodes_per_dim, 1)
 
         self.matrices, self.drifts = [], []
         for i, (lo, hi) in enumerate(grid.bounds):
-            zc = z1[:, 0] * np.sqrt(q[i])
+            zc, self.node_weights = gaussian_nodes(quad, q[i : i + 1])  # the same weights on every axis
+            zc = zc[:, 0]
             # node grid indices go straight in, so they are freed before the next axis is built
             self.matrices.append(_axis_matrix(
-                (pts[None, :, i] + s[None, :] * zc[:, None] - lo) / ((hi - lo) / (size - 1)),
+                (pts[None, :, i] + scale[None, :] * zc[:, None] - lo) / ((hi - lo) / (grid.points_per_axis - 1)),
                 i, self.shape, self.order, self.mode,
             ))
-            self.drifts.append(None if b is None else np.exp(np.outer(zc, b[:, i] / (2.0 * g)) * s[None, :]))
+            self.drifts.append(None if tilt is None else np.exp(np.outer(zc, tilt[:, i]) * scale[None, :]))
 
         self.edges = []
         if self.mode == "grid-constant":
@@ -369,7 +355,7 @@ class _CompiledGHStep:
                     exterior = self._factor(i, exterior)
 
     def _factor(self, i: int, coeffs: np.ndarray) -> np.ndarray:
-        """Axis-i factor without the prefactor, on coefficients already prefiltered along axis i."""
+        """Axis-i factor on coefficients already prefiltered along axis i."""
         if self.edges:
             coeffs = np.concatenate((self.edges[i][0], coeffs, self.edges[i][1]), axis=i)
         node_vals = (self.matrices[i] @ coeffs.ravel()).reshape(self.node_weights.size, -1)
@@ -382,18 +368,16 @@ class _CompiledGHStep:
             if self.order > 1:
                 values = ndi.spline_filter1d(values, order=self.order, axis=i, mode=self.mode, output=np.float64)
             values = self._factor(i, values)
-        out = self.prefactor * values.ravel()
-        if not np.all(np.isfinite(out)):
-            raise IntegrandError("one-step integral produced a non-finite value")
-        return out.reshape(self.shape)
+        return values.ravel()
 
 
 def _compile_step(op: OperatorL, tau: float, grid: GridField, quad: QuadratureSpec, interpolation: str):
     """S_tau as a map (field, stream) -> field for fields on the geometry of `grid`.
 
-    Gauss-Hermite steps are compiled once into fixed weight tables.  Monte Carlo draws
-    a fresh node set from Philox stream `stream` at every step, so its nodes are not
-    fixed and its step is rebuilt on each call.
+    The grid points and the per-point factors are computed once here, for both backends.
+    Gauss-Hermite node sums are compiled once into fixed weight tables; Monte Carlo draws a
+    fresh node set from Philox stream `stream` at every step, then prefilters the field and
+    interpolates it at the nodes.
     """
     _spline_order(interpolation)
     if not (math.isfinite(tau) and tau > 0.0):
@@ -406,15 +390,18 @@ def _compile_step(op: OperatorL, tau: float, grid: GridField, quad: QuadratureSp
             raise TruncationError(
                 f"one-step Gaussian reach {reach:.3g} exceeds domain width {hi - lo:.3g}; enlarge the grid"
             )
+    pts = grid.meshpoints()
+    scale, tilt, prefactor = _step_coefficients(op, tau, pts)
     if quad.backend == "gauss_hermite":
-        compiled = _CompiledGHStep(op, tau, grid, quad.nodes_per_dim, interpolation)
-        return lambda u, stream: dataclasses.replace(u, values=compiled(u.values))
-
-    def mc_step(u: GridField, stream: tuple) -> GridField:
-        vals = _one_step_values(op, tau, _FieldEvaluator(u, interpolation), u.meshpoints(), quad, stream)
-        return dataclasses.replace(u, values=vals.reshape(u.values.shape))
-
-    return mc_step
+        compiled = _CompiledGHStep(grid, pts, scale, tilt, op.q, quad, interpolation)
+        node_sum = lambda u, stream: compiled(u.values)
+    else:
+        node_sum = lambda u, stream: _node_sum(
+            _FieldEvaluator(u, interpolation), pts, scale, tilt, *gaussian_nodes(quad, op.q, stream)
+        )
+    return lambda u, stream: dataclasses.replace(
+        u, values=_prefactored(prefactor, node_sum(u, stream)).reshape(u.values.shape)
+    )
 
 
 def apply_S(op: OperatorL, tau: float, u: GridField, quad: QuadratureSpec, interpolation: str = "cubic") -> GridField:
@@ -443,7 +430,7 @@ def chernoff_solve(plan: ChernoffPlan, u0: GridField, checkpoint_steps: Sequence
                 f"chain margin {margin:.3g} leaves no interior in domain ({lo}, {hi}); enlarge the grid"
             )
     for k in checkpoint_steps:
-        if not 1 <= int(k) <= plan.steps:
+        if not (isinstance(k, numbers.Integral) and 1 <= k <= plan.steps):
             raise ValueError(f"checkpoint step {k} outside 1..{plan.steps}")
     mask = u0.interior_mask(margin)
     if not mask.any():
@@ -454,7 +441,7 @@ def chernoff_solve(plan: ChernoffPlan, u0: GridField, checkpoint_steps: Sequence
     sup_norms = np.empty(plan.steps)
     interior = np.empty(plan.steps)
     checkpoints: dict[int, GridField] = {}
-    wanted = {int(k) for k in checkpoint_steps}
+    wanted = set(checkpoint_steps)
     step_S = _compile_step(plan.op, plan.tau, u0, plan.quad, plan.interpolation)
     u = u0
     for step in range(1, plan.steps + 1):

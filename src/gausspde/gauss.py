@@ -18,6 +18,8 @@ together with the scale identity  E_{tA}[f] = E_A[f(sqrt(t) y)]  for t > 0.
 Numerical backends: tensor-product Gauss-Hermite (physicists' convention,
 E_{N(0,v)} f ~= sum_k (w_k/sqrt(pi)) f(sqrt(2 v) x_k)) for dimension <= 4,
 and Monte Carlo driven by a counter-based Philox generator keyed by rng_seed.
+gaussian_nodes builds the node set of N(0, diag v) for either backend; the
+integrators here and the grid step in engine both take their nodes from it.
 
 Evaluators are vectorized: an integrand receives an (m, n) array of points
 and must return an (m,) array of values.
@@ -43,6 +45,7 @@ __all__ = [
     "expect_linear_exp",
     "expect_quadratic",
     "expect_quadratic_exp",
+    "gaussian_nodes",
     "integrate",
     "mc_estimate",
     "philox_generator",
@@ -231,6 +234,21 @@ def philox_generator(seed: int, stream: tuple[int, ...] = ()) -> np.random.Gener
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed), spawn_key=stream)))
 
 
+def gaussian_nodes(quad: QuadratureSpec, variances, stream: tuple[int, ...] = ()) -> tuple[np.ndarray, np.ndarray]:
+    """Points (m, n) and weights (m,) of the backend's rule for N(0, diag(variances)): the tensor
+    Gauss-Hermite rule (n <= GH_MAX_DIM), or quad.samples Philox draws from child `stream` of
+    rng_seed with equal weights; either way the standard nodes are scaled by sqrt(variances)."""
+    sd = np.sqrt(np.asarray(variances, dtype=float))
+    if quad.backend == "gauss_hermite":
+        if sd.size > GH_MAX_DIM:
+            raise ValueError(f"gauss_hermite backend supports dimension <= {GH_MAX_DIM}, got {sd.size}")
+        z, w = _gh_standard(quad.nodes_per_dim, sd.size)
+        return z * sd, w
+    pts = philox_generator(quad.rng_seed, stream).standard_normal((quad.samples, sd.size))
+    pts *= sd
+    return pts, np.full(quad.samples, 1.0 / quad.samples)
+
+
 def _evaluate(f: Evaluator, pts: np.ndarray) -> np.ndarray:
     vals = np.asarray(f(pts), dtype=float)
     if vals.shape != (pts.shape[0],):
@@ -246,9 +264,7 @@ def mc_estimate(f: Evaluator, spec: GaussianSpec, quad: QuadratureSpec) -> tuple
     """Monte Carlo mean and standard error of E[f] under the spec's measure."""
     if quad.backend != "monte_carlo":
         raise ValueError("mc_estimate requires a monte_carlo QuadratureSpec")
-    rng = philox_generator(quad.rng_seed)
-    pts = rng.standard_normal((quad.samples, spec.dim))
-    pts *= np.sqrt(spec.variances)
+    pts = gaussian_nodes(quad, spec.variances)[0]
     pts += spec.mean
     vals = _evaluate(f, pts)
     se = float(vals.std(ddof=1) / math.sqrt(quad.samples)) if quad.samples > 1 else math.inf
@@ -258,12 +274,8 @@ def mc_estimate(f: Evaluator, spec: GaussianSpec, quad: QuadratureSpec) -> tuple
 def integrate(f: Evaluator, spec: GaussianSpec, quad: QuadratureSpec) -> float:
     """E[f] under the spec's Gaussian measure, by the requested backend."""
     if quad.backend == "gauss_hermite":
-        if spec.dim > GH_MAX_DIM:
-            raise ValueError(
-                f"gauss_hermite backend supports dimension <= {GH_MAX_DIM}, got {spec.dim}"
-            )
-        z, w = _gh_standard(quad.nodes_per_dim, spec.dim)
-        pts = spec.mean + np.sqrt(spec.variances) * z
+        pts, w = gaussian_nodes(quad, spec.variances)
+        pts += spec.mean
         return float(w @ _evaluate(f, pts))
     return mc_estimate(f, spec, quad)[0]
 

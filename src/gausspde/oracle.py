@@ -5,7 +5,8 @@ with central stencils on a uniform grid, either periodic (right endpoint of
 the closed grid is the wrapped duplicate of the left) or Dirichlet (boundary
 points pinned to a fixed value).  Time stepping is Crank-Nicolson (one sparse
 LU factorization, reused each step) or explicit Euler under the stability
-bound dt <= dx^2/(2 g_max q_1 dim).
+bound dt <= dx^2/(2 g_max q_1 dim), dx the smallest axis spacing.  Each axis's
+stencils use that axis's own spacing, so boxes need not be square.
 
 The resolvent solver inverts  lambda f - L f = rhs  (1D) by the same assembly
 and checks the discrete residual before returning.
@@ -86,9 +87,9 @@ class FDProblem:
         object.__setattr__(self, "bounds", bounds)
 
     @property
-    def dx(self) -> float:
-        lo, hi = self.bounds[0]
-        return (hi - lo) / (self.points_per_axis - 1)
+    def spacings(self) -> tuple:
+        """Grid spacing of each axis."""
+        return tuple((hi - lo) / (self.points_per_axis - 1) for lo, hi in self.bounds)
 
     @property
     def dt(self) -> float:
@@ -134,15 +135,14 @@ def assemble_operator(p: FDProblem) -> AssembledOperator:
     pts = np.stack([m.ravel() for m in mesh], axis=1)
     q = p.A.block(p.dim)
 
-    d2 = _d2(nu, p.dx, wrap)
-    eye = sp.identity(nu, format="csr")
+    d2s = [_d2(nu, dx, wrap) for dx in p.spacings]
+    d1s = [_d1(nu, dx, wrap) for dx in p.spacings]
     if p.dim == 1:
-        ks = [d2]
-        k1s = [_d1(nu, p.dx, wrap)]
+        ks, k1s = d2s, d1s
     else:
-        ks = [sp.kron(d2, eye, format="csr"), sp.kron(eye, d2, format="csr")]
-        d1 = _d1(nu, p.dx, wrap)
-        k1s = [sp.kron(d1, eye, format="csr"), sp.kron(eye, d1, format="csr")]
+        eye = sp.identity(nu, format="csr")
+        ks = [sp.kron(d2s[0], eye, format="csr"), sp.kron(eye, d2s[1], format="csr")]
+        k1s = [sp.kron(d1s[0], eye, format="csr"), sp.kron(eye, d1s[1], format="csr")]
 
     co = p.coeffs
     gvals = co.g_at(pts)
@@ -228,7 +228,7 @@ def fd_solve(p: FDProblem, u0: GridField) -> GridField:
 
     if p.scheme == "explicit_euler":
         q1 = float(p.A.block(p.dim)[0])
-        limit = p.dx**2 / (2.0 * p.coeffs.g_max * q1 * p.dim)
+        limit = min(p.spacings) ** 2 / (2.0 * p.coeffs.g_max * q1 * p.dim)
         if dt > limit * (1.0 + 1e-12):
             raise ValueError(
                 f"explicit Euler is unstable: dt = {dt:.3g} exceeds dx^2/(2 g_max q_1 dim) = {limit:.3g}"

@@ -250,3 +250,26 @@ def test_module_entry_point_runs_in_a_subprocess(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+def test_package_runs_as_a_module_without_warnings(tmp_path):
+    out = tmp_path / "field.csv"
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-W",
+            "always",
+            "-m",
+            "gausspde",
+            "solve",
+            "--config",
+            str(CONFIG_DIR / "solve_constant.json"),
+            "--out",
+            str(out),
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert out.exists()

@@ -254,6 +254,41 @@ def test_compiled_step_is_the_lie_product_when_g_varies_along_a_later_axis():
     assert dev[0] >= 3.0 * dev[1] and dev[1] >= 3.0 * dev[2]
 
 
+@pytest.mark.parametrize("interpolation", ["cubic", "linear"])
+def test_monte_carlo_grid_step_is_the_per_node_step(interpolation):
+    # the grid step draws stream () in apply_S and stream (k-1,) at step k of chernoff_solve
+    op = variable_op(2, drift=True)
+    quad = QuadratureSpec(backend="monte_carlo", samples=64, rng_seed=3)
+    u = rough_field(2, 32, 6.0, boundary_mode="constant", boundary_value=0.75)
+    ref = {
+        stream: _one_step_values(op, 0.2, _FieldEvaluator(u, interpolation), u.meshpoints(), quad, stream)
+        for stream in ((), (0,))
+    }
+    assert not np.array_equal(ref[()], ref[(0,)])
+    assert np.array_equal(apply_S(op, 0.2, u, quad, interpolation).values.ravel(), ref[()])
+    plan = ChernoffPlan(t_final=0.4, steps=2, quad=quad, op=op, interpolation=interpolation)
+    first = chernoff_solve(plan, u, checkpoint_steps=(1,)).checkpoints[1]
+    assert np.array_equal(first.values.ravel(), ref[(0,)])
+
+
+@pytest.mark.parametrize("backend", ["gauss_hermite", "monte_carlo"])
+def test_chernoff_solve_evaluates_the_coefficients_once(backend):
+    calls = []
+
+    def g_eval(x):
+        calls.append(x.shape[0])
+        return 1.0 + 0.5 * np.sin(x[:, 0])
+
+    g = CylFunction(dim=1, eval=g_eval, sup_bound=1.5)
+    co = Coefficients(g=g, B=[CylFunction.constant(0.3, 1)], C=CylFunction.constant(-0.2, 1), g_floor=0.5)
+    op = OperatorL(coeffs=co, A=TraceClassOperator([0.5]))
+    quad = QuadratureSpec(backend=backend, nodes_per_dim=8, samples=200)
+    u0 = field_1d(lambda x: np.cos(x[:, 0]), pts=128)
+    calls.clear()
+    chernoff_solve(ChernoffPlan(t_final=0.4, steps=4, quad=quad, op=op), u0)
+    assert calls == [128]
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_chernoff_checkpoint_equals_repeated_apply_s(dim):
     op = variable_op(dim, drift=True)
@@ -418,6 +453,18 @@ def test_chernoff_mc_reproducible():
     a = chernoff_solve(plan, u0).field.values
     b = chernoff_solve(plan, u0).field.values
     assert np.array_equal(a, b)
+
+
+def test_step_counts_must_be_integers():
+    op = const_op(g=1.0, c=0.0, q=(0.5,))
+    u0 = field_1d(lambda x: np.cos(x[:, 0]), pts=128)
+    with pytest.raises(ValueError, match="steps must be a positive integer"):
+        ChernoffPlan(t_final=0.4, steps=2.5, quad=GH, op=op)
+    plan = ChernoffPlan(t_final=0.4, steps=np.int64(4), quad=GH, op=op)
+    with pytest.raises(ValueError, match=r"checkpoint step 2\.5 outside 1\.\.4"):
+        chernoff_solve(plan, u0, checkpoint_steps=(2.5,))
+    res = chernoff_solve(plan, u0, checkpoint_steps=(np.int32(2), 4))
+    assert sorted(res.checkpoints) == [2, 4]
 
 
 def test_chernoff_domain_too_small():

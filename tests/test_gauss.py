@@ -17,8 +17,10 @@ from gausspde.gauss import (
     expect_linear_exp,
     expect_quadratic,
     expect_quadratic_exp,
+    gaussian_nodes,
     integrate,
     mc_estimate,
+    philox_generator,
     scale_identity_residual,
 )
 
@@ -154,6 +156,28 @@ def test_closed_forms_dimension_mismatch():
 
 
 # ---------------------------------------------------------------- integrate
+
+
+def test_gaussian_nodes_gauss_hermite_rows():
+    pts, w = gaussian_nodes(QuadratureSpec(backend="gauss_hermite", nodes_per_dim=3), [4.0, 0.25])
+    # physicists' nodes: x_k = 0, +-sqrt(3/2); weights w_k / sqrt(pi) = 2/3, 1/6, 1/6
+    z = np.sqrt(2.0) * np.polynomial.hermite.hermgauss(3)[0]
+    w1 = np.array([1.0, 4.0, 1.0]) / 6.0
+    # the first axis varies slowest
+    assert_allclose(pts, [[2.0 * a, 0.5 * b] for a in z for b in z], rtol=1e-15)
+    assert_allclose(w, np.outer(w1, w1).ravel(), rtol=1e-14)
+    assert w.sum() == pytest.approx(1.0, abs=1e-15)
+    with pytest.raises(ValueError, match="dimension <= 4"):
+        gaussian_nodes(GH, np.ones(5))
+
+
+def test_gaussian_nodes_monte_carlo_stream():
+    quad = QuadratureSpec(backend="monte_carlo", samples=1000, rng_seed=17)
+    pts, w = gaussian_nodes(quad, [4.0, 0.25, 1.0, 1.0, 1.0], stream=(3,))
+    ref = philox_generator(17, (3,)).standard_normal((1000, 5)) * np.sqrt([4.0, 0.25, 1.0, 1.0, 1.0])
+    assert np.array_equal(pts, ref)
+    assert np.array_equal(w, np.full(1000, 1e-3))
+    assert not np.array_equal(gaussian_nodes(quad, [4.0], stream=(4,))[0], pts[:, :1])
 
 
 def test_integrate_gh_examples():

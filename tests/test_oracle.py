@@ -1,5 +1,6 @@
 """Reference finite-difference solvers and closed-form solutions."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -122,6 +123,34 @@ def test_fd_2d_product_solution():
     pts = u0.meshpoints()
     ref = math.exp(-0.5 * (0.5 + 0.25)) * np.cos(pts[:, 0]) * np.cos(pts[:, 1])
     assert np.max(np.abs(out.values.ravel() - ref)) < 5e-3
+
+
+def test_fd_2d_non_square_box_uses_each_axis_spacing():
+    # axis 2 is twice as long as axis 1, so its spacing is twice axis 1's
+    co = const_coeffs(g=1.0, c=0.0, dim=2)
+    p = FDProblem(
+        dim=2,
+        coeffs=co,
+        A=TraceClassOperator([0.5, 0.25]),
+        bounds=((-math.pi, math.pi), (-2.0 * math.pi, 2.0 * math.pi)),
+        points_per_axis=65,
+        t_final=0.5,
+        time_steps=200,
+    )
+    u0 = GridField.from_function(p.bounds, p.points_per_axis, lambda x: np.cos(x[:, 0]) * np.cos(0.5 * x[:, 1]))
+    out = fd_solve(p, u0)
+    pts = u0.meshpoints()
+    ref = math.exp(-0.5 * (0.5 + 0.25 * 0.25)) * np.cos(pts[:, 0]) * np.cos(0.5 * pts[:, 1])
+    # 1.7e-4 with each axis's own spacing; 6.7e-2 with axis 1's spacing on both axes
+    assert np.max(np.abs(out.values.ravel() - ref)) < 1e-3
+    assert p.spacings == pytest.approx((math.pi / 32, math.pi / 16), rel=1e-15)
+    # explicit Euler's bound dx^2/(2 g_max q_1 dim) takes the finer axis: dt = 2.5e-3 is within
+    # it at axis 1's spacing (4.8e-3) but not at axis 2's (1.2e-3)
+    euler = dataclasses.replace(
+        p, bounds=((-math.pi, math.pi), (-0.5 * math.pi, 0.5 * math.pi)), scheme="explicit_euler"
+    )
+    with pytest.raises(ValueError, match="explicit Euler is unstable"):
+        fd_solve(euler, GridField.from_function(euler.bounds, 65, lambda x: np.cos(x[:, 0]) * np.cos(2.0 * x[:, 1])))
 
 
 def test_fd_dirichlet_sine_decay():
