@@ -17,7 +17,7 @@ from gausspde import (
     expect_quadratic,
     expect_quadratic_exp,
     integrate,
-    mc_estimate,
+    mc_estimates,
     scale_identity_residual,
 )
 
@@ -40,10 +40,12 @@ cases = [
     ),
 ]
 
+# One Monte Carlo draw serves all four moments.
+estimates = mc_estimates([(f, spec) for _, f, _ in cases], mc)
+
 print("moment               closed form     GH error    MC error (4 std errs)")
-for name, f, exact in cases:
+for (name, f, exact), (mean, stderr) in zip(cases, estimates):
     gh_err = abs(integrate(f, spec, gh) - exact)
-    mean, stderr = mc_estimate(f, spec, mc)
     print(f"{name:<20s} {exact:>12.8f}  {gh_err:>10.2e}  {abs(mean - exact):>10.2e} ({4 * stderr:.2e})")
 
 # The scale identity: integrating against the covariance t*A equals

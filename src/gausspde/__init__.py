@@ -48,6 +48,7 @@ from .gauss import (
     gaussian_nodes,
     integrate,
     mc_estimate,
+    mc_estimates,
     philox_generator,
     scale_identity_residual,
 )
@@ -89,6 +90,7 @@ __all__ = [
     "load_config",
     "main",
     "mc_estimate",
+    "mc_estimates",
     "norm_bound_check",
     "parse_config",
     "philox_generator",

@@ -48,7 +48,7 @@ from .gauss import (
     expect_quadratic,
     expect_quadratic_exp,
     integrate,
-    mc_estimate,
+    mc_estimates,
     philox_generator,
     scale_identity_residual,
 )
@@ -205,10 +205,11 @@ def _check_gaussian_identities(config: ExperimentConfig) -> CheckResult:
         samples=config.quadrature.samples,
         rng_seed=config.quadrature.rng_seed,
     )
+    cases = _identity_cases()
+    estimates = mc_estimates([(f, spec) for f, spec, _ in cases], mc)
     worst = 0.0
-    for f, spec, exact in _identity_cases():
+    for (f, spec, exact), (mean, stderr) in zip(cases, estimates):
         worst = max(worst, abs(integrate(f, spec, gh) - exact))
-        mean, stderr = mc_estimate(f, spec, mc)
         worst = max(worst, max(0.0, abs(mean - exact) - 4.0 * stderr))
     return CheckResult("gaussian_identities", worst, 1e-9, worst <= 1e-9)
 

@@ -22,12 +22,16 @@ gaussian_nodes builds the node set of N(0, diag v) for either backend; the
 integrators here and the grid step in engine both take their nodes from it.
 
 Evaluators are vectorized: an integrand receives an (m, n) array of points
-and must return an (m,) array of values.
+and must return an (m,) array of values.  A row's value must depend on that row
+only: Monte Carlo points arrive in blocks of at most _BLOCK rows, so one
+estimate may take several calls, and mc_estimates serves all of its cases from
+one shared draw.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -48,6 +52,7 @@ __all__ = [
     "gaussian_nodes",
     "integrate",
     "mc_estimate",
+    "mc_estimates",
     "philox_generator",
     "scale_identity_residual",
 ]
@@ -55,6 +60,10 @@ __all__ = [
 GH_MAX_DIM = 4
 
 Evaluator = Callable[[np.ndarray], np.ndarray]
+
+# Monte Carlo rows scaled, shifted and evaluated at once: bounds the point arrays
+# held beside the one shared draw of an mc_estimates call
+_BLOCK = 1 << 16
 
 
 class IntegrandError(ValueError):
@@ -149,12 +158,12 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.backend not in _BACKENDS:
             raise ValueError(f"backend must be one of {_BACKENDS}, got {self.backend!r}")
-        if self.nodes_per_dim < 1:
-            raise ValueError("nodes_per_dim must be a positive integer")
-        if self.samples < 1:
-            raise ValueError("samples must be a positive integer")
-        if not 0 <= int(self.rng_seed) < 2**64:
-            raise ValueError("rng_seed must fit in 64 bits")
+        for name in ("nodes_per_dim", "samples"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                raise ValueError(f"{name} must be a positive integer")
+        if not (isinstance(self.rng_seed, numbers.Integral) and 0 <= self.rng_seed < 2**64):
+            raise ValueError("rng_seed must be an integer that fits in 64 bits")
 
 
 # ---------------------------------------------------------------- closed forms
@@ -260,15 +269,38 @@ def _evaluate(f: Evaluator, pts: np.ndarray) -> np.ndarray:
     return vals
 
 
+def mc_estimates(cases, quad: QuadratureSpec) -> list[tuple[float, float]]:
+    """Monte Carlo mean and standard error of E[f] for each (f, GaussianSpec) pair in cases.
+
+    One draw of quad.samples rows, as wide as the widest spec, serves every case: a case of
+    dimension d reads its first samples*d normals, which are exactly the normals a fresh
+    (samples, d) draw from the same stream gives.  Each case scales, shifts and evaluates its
+    points _BLOCK rows at a time and takes its moments over all samples at once."""
+    if quad.backend != "monte_carlo":
+        raise ValueError("mc_estimates requires a monte_carlo QuadratureSpec")
+    cases = list(cases)
+    if not cases:
+        return []
+    n = quad.samples
+    width = max(spec.dim for _, spec in cases)
+    z = gaussian_nodes(quad, np.ones(width))[0].ravel()
+    out = []
+    for f, spec in cases:
+        pts = z[: n * spec.dim].reshape(n, spec.dim)
+        sd = np.sqrt(spec.variances)
+        vals = np.empty(n)
+        for lo in range(0, n, _BLOCK):
+            block = pts[lo : lo + _BLOCK] * sd
+            block += spec.mean
+            vals[lo : lo + _BLOCK] = _evaluate(f, block)
+        se = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
+        out.append((float(vals.mean()), se))
+    return out
+
+
 def mc_estimate(f: Evaluator, spec: GaussianSpec, quad: QuadratureSpec) -> tuple[float, float]:
     """Monte Carlo mean and standard error of E[f] under the spec's measure."""
-    if quad.backend != "monte_carlo":
-        raise ValueError("mc_estimate requires a monte_carlo QuadratureSpec")
-    pts = gaussian_nodes(quad, spec.variances)[0]
-    pts += spec.mean
-    vals = _evaluate(f, pts)
-    se = float(vals.std(ddof=1) / math.sqrt(quad.samples)) if quad.samples > 1 else math.inf
-    return float(vals.mean()), se
+    return mc_estimates([(f, spec)], quad)[0]
 
 
 def integrate(f: Evaluator, spec: GaussianSpec, quad: QuadratureSpec) -> float:

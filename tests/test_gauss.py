@@ -1,13 +1,18 @@
 """Closed-form Gaussian moments, checked against independent sampling and
 1D quadrature oracles, plus the two integration backends."""
 
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
+from gausspde import gauss
+from gausspde.battery import _check_gaussian_identities
+from gausspde.config import load_config
 from gausspde.gauss import (
     GaussianSpec,
     IntegrandError,
@@ -20,6 +25,7 @@ from gausspde.gauss import (
     gaussian_nodes,
     integrate,
     mc_estimate,
+    mc_estimates,
     philox_generator,
     scale_identity_residual,
 )
@@ -79,6 +85,14 @@ def test_quadrature_spec_validation():
         QuadratureSpec(backend="gauss_hermite", nodes_per_dim=0)
     with pytest.raises(ValueError):
         QuadratureSpec(backend="monte_carlo", samples=0)
+    spec = QuadratureSpec(backend="monte_carlo", nodes_per_dim=np.int64(4), samples=np.int32(10), rng_seed=np.uint64(7))
+    assert (spec.nodes_per_dim, spec.samples, spec.rng_seed) == (4, 10, 7)
+
+
+@pytest.mark.parametrize("field,value", [("nodes_per_dim", 32.0), ("samples", 1000.0), ("rng_seed", 1.5)])
+def test_quadrature_spec_rejects_non_integers(field, value):
+    with pytest.raises(ValueError, match=field):
+        QuadratureSpec(backend="monte_carlo", **{field: value})
 
 
 # ---------------------------------------------------------------- closed forms
@@ -270,3 +284,86 @@ def test_scale_identity_mc_shares_draws():
     q = QuadratureSpec(backend="monte_carlo", samples=20_000, rng_seed=5)
     r = scale_identity_residual(lambda y: np.cos(y[:, 0]), 0.37, A, q)
     assert r < 1e-10
+
+
+# ---------------------------------------------------------------- mc_estimates
+
+
+def _row_local_cases():
+    """(integrand, spec) with dims 1, 2 and 3 and nonzero means; elementwise only, so a
+    row's value is bit-identical however the rows are blocked."""
+    return [
+        (lambda y: np.exp(y[:, 0]), GaussianSpec(np.array([0.3]), 2.0, TraceClassOperator([1.0]))),
+        (
+            lambda y: np.sin(y[:, 0]) * np.exp(y[:, 1]),
+            GaussianSpec(np.array([0.7, -0.2]), 1.3, TraceClassOperator([0.5, 0.25])),
+        ),
+        (
+            lambda y: y[:, 0] * y[:, 1] + y[:, 2] ** 2,
+            GaussianSpec(np.array([-1.0, 0.5, 2.0]), 0.8, TraceClassOperator([1.0, 0.5, 0.25])),
+        ),
+    ]
+
+
+@pytest.mark.parametrize("samples", [1, 1000, (1 << 16) + 4465])
+def test_mc_estimates_equal_a_fresh_draw_per_case(samples):
+    # samples of 1, below one block, and past one block but not a multiple of it
+    quad_mc = QuadratureSpec(backend="monte_carlo", samples=samples, rng_seed=20260814)
+    cases = _row_local_cases()
+    for (f, spec), (mean, se) in zip(cases, mc_estimates(cases, quad_mc)):
+        y = philox_generator(20260814).standard_normal((samples, spec.dim)) * np.sqrt(spec.variances) + spec.mean
+        vals = f(y)
+        assert mean == vals.mean()
+        if samples == 1:
+            assert se == math.inf
+        else:
+            assert se == vals.std(ddof=1) / math.sqrt(samples)
+        assert mc_estimate(f, spec, quad_mc) == (mean, se)
+
+
+def test_mc_estimates_do_not_depend_on_the_block_size(monkeypatch):
+    quad_mc = QuadratureSpec(backend="monte_carlo", samples=500, rng_seed=3)
+    cases = _row_local_cases()
+    reference = mc_estimates(cases, quad_mc)
+    for block in (1, 7, gauss._BLOCK):
+        monkeypatch.setattr(gauss, "_BLOCK", block)
+        assert mc_estimates(cases, quad_mc) == reference
+
+
+def test_mc_estimates_check_every_block(monkeypatch):
+    monkeypatch.setattr(gauss, "_BLOCK", 7)
+    quad_mc = QuadratureSpec(backend="monte_carlo", samples=50, rng_seed=3)
+    calls = []
+
+    def late_nan(y):
+        calls.append(y.shape[0])
+        return np.full(y.shape[0], np.nan if len(calls) == 3 else 1.0)
+
+    with pytest.raises(IntegrandError):
+        mc_estimates([(late_nan, centered([1.0]))], quad_mc)
+    assert calls == [7, 7, 7]
+    with pytest.raises(ValueError, match="evaluators must map"):
+        mc_estimates([(lambda y: np.ones((y.shape[0], 2)), centered([1.0]))], quad_mc)
+    with pytest.raises(ValueError, match="monte_carlo"):
+        mc_estimates([(lambda y: y[:, 0], centered([1.0]))], GH)
+    assert mc_estimates([], quad_mc) == []
+
+
+def test_gaussian_identities_row_draws_once(monkeypatch):
+    # nine cases of dimensions 1 to 3 share one draw as wide as the widest
+    drawn = []
+
+    class Counting:
+        def __init__(self, gen):
+            self._gen = gen
+
+        def standard_normal(self, size):
+            out = self._gen.standard_normal(size)
+            drawn.append(out.size)
+            return out
+
+    monkeypatch.setattr(gauss, "philox_generator", lambda *a, **k: Counting(philox_generator(*a, **k)))
+    config = load_config(Path(__file__).resolve().parents[1] / "configs" / "verify_default.json")
+    config = dataclasses.replace(config, quadrature=QuadratureSpec(backend="gauss_hermite", samples=1000, rng_seed=3))
+    _check_gaussian_identities(config)
+    assert drawn == [3 * 1000]
