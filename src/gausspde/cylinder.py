@@ -11,6 +11,7 @@ central finite differences with step fd_step.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -60,7 +61,7 @@ class CylFunction:
     constant_value: Optional[float] = field(default=None, kw_only=True)
 
     def __post_init__(self):
-        if self.dim < 1:
+        if not (isinstance(self.dim, numbers.Integral) and self.dim >= 1):
             raise ValueError("dim must be a positive integer")
         if not (np.isfinite(self.fd_step) and self.fd_step > 0.0):
             raise ValueError("fd_step must be positive")

@@ -17,12 +17,12 @@ bounds must exceed the region of interest by the accumulated margin
 6 sqrt(2 t g_max q_1) (plus t q_1 B_0 under drift); assertions apply to
 interior points only.
 
-On a grid S_tau is linear and the same at every step, so the grid points and
-per-point factors are computed once per chernoff_solve (and per apply_S call)
-for both backends.  Gauss-Hermite node sums are compiled into one sparse 1D
-factor per axis (_CompiledGHStep), about d M K (order + 1) * 12 bytes for M
-grid points and K nodes per axis.  Monte Carlo draws fresh nodes at every step
-(Philox stream k-1) and sums them by _node_sum, as tangency_residual does.
+On a grid S_tau is linear and the same at every step, so one step object per
+chernoff_solve (and per apply_S call), _Step, serves both backends: it checks the
+geometry and computes the grid points and per-point factors once.  Gauss-Hermite
+node sums are fixed as one sparse 1D factor per axis, about d M K (order + 1) * 12
+bytes for M grid points and K nodes per axis.  Monte Carlo draws fresh nodes at
+every step (Philox stream k-1) and sums them by _node_sum, as tangency_residual does.
 """
 
 from __future__ import annotations
@@ -66,6 +66,12 @@ def _spline_order(interpolation: str) -> int:
     return _ORDERS[interpolation]
 
 
+def _mesh(bounds, points_per_axis: int) -> np.ndarray:
+    """Points of the uniform tensor grid on `bounds`, one row each, the last axis fastest."""
+    axes = [np.linspace(lo, hi, points_per_axis) for lo, hi in bounds]
+    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+
+
 class TruncationError(RuntimeError):
     """Grid bounds are too small for the Gaussian spread of the requested step."""
 
@@ -94,6 +100,8 @@ class GridField:
             raise ValueError("field values must be finite")
         if self.boundary_mode not in _BOUNDARY_MODES:
             raise ValueError(f"boundary_mode must be one of {_BOUNDARY_MODES}")
+        if not math.isfinite(self.boundary_value):
+            raise ValueError("boundary_value must be finite")
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "bounds", bounds)
@@ -101,13 +109,10 @@ class GridField:
 
     @classmethod
     def from_function(cls, bounds, points_per_axis: int, fn, boundary_mode="clamp", boundary_value=0.0):
-        if points_per_axis < 2:
+        if not (isinstance(points_per_axis, numbers.Integral) and points_per_axis >= 2):
             raise ValueError(_POINTS_MESSAGE)
         bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
-        axes = [np.linspace(lo, hi, points_per_axis) for lo, hi in bounds]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
-        vals = np.asarray(fn(pts), dtype=float).reshape([points_per_axis] * len(bounds))
+        vals = np.asarray(fn(_mesh(bounds, points_per_axis)), dtype=float).reshape([points_per_axis] * len(bounds))
         return cls(bounds=bounds, values=vals, boundary_mode=boundary_mode, boundary_value=boundary_value)
 
     @property
@@ -127,8 +132,7 @@ class GridField:
         return float(np.max(np.abs(self.values)))
 
     def meshpoints(self) -> np.ndarray:
-        mesh = np.meshgrid(*self.axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+        return _mesh(self.bounds, self.points_per_axis)
 
     def interior_mask(self, margin: float) -> np.ndarray:
         """Boolean mask of grid points at least `margin` from every boundary."""
@@ -308,36 +312,54 @@ def _axis_matrix(idx: np.ndarray, axis: int, shape: tuple, order: int, mode: str
     )
 
 
-class _CompiledGHStep:
-    """Node sum of S_tau with Gauss-Hermite nodes on one grid, as one sparse factor per axis.
+class _Step:
+    """S_tau on the geometry of one grid, as a map (field, stream) -> field for both backends.
 
-    Built once per plan from the grid points and _step_coefficients' scale and tilt.  A is
-    diagonal, so the step moves points one axis at a time: factor i is the spline prefilter
-    along axis i, the spline taps at the nodes x + sqrt(2 tau g(x) q_i) z_k e_i of the 1D rule
-    gaussian_nodes gives for q_i (a sparse matrix), the drift weight e^{beta_i s sqrt(q_i) z_k}
-    and the node sum; the caller applies the prefactor.  In 1D this is _node_sum's own
-    summation, so results are bit-identical to it (while K M <= 4e6, where it sums all nodes
-    at once).  In d >= 2 the factors' product is the tensor step, up to rounding, when g
-    depends on x_1 only and B_j on x_1 .. x_j only, so that no factor's weights change along
-    the axes filtered after it; otherwise it is their Lie product, O(tau^2) per step from it
-    and still first order (Chernoff 1968).
+    Built once per plan: __init__ checks the step against the grid and computes the grid
+    points and _step_coefficients' per-point factors; __call__ applies the node sum, then the
+    prefactor.  Monte Carlo draws a fresh node set from Philox stream `stream` at every call,
+    then prefilters the field and interpolates it at the nodes (_node_sum).
 
-    With boundary_mode "constant", reads past the edge along axis i see what factors
-    0 .. i-1 make of the constant boundary_value field; its edge slabs are built once.
+    Gauss-Hermite node sums are fixed, one sparse factor per axis.  A is diagonal, so the
+    step moves points one axis at a time: factor i is the spline prefilter along axis i, the
+    spline taps at the nodes x + sqrt(2 tau g(x) q_i) z_k e_i of the 1D rule gaussian_nodes
+    gives for q_i (a sparse matrix), the drift weight e^{beta_i s sqrt(q_i) z_k} and the node
+    sum.  In 1D this is _node_sum's own summation, so results are bit-identical to it (while
+    K M <= 4e6, where it sums all nodes at once).  In d >= 2 the factors' product is the
+    tensor step, up to rounding, when g depends on x_1 only and B_j on x_1 .. x_j only, so
+    that no factor's weights change along the axes filtered after it; otherwise it is their
+    Lie product, O(tau^2) per step from it and still first order (Chernoff 1968).  With
+    boundary_mode "constant", reads past the edge along axis i see what factors 0 .. i-1
+    make of the constant boundary_value field; its edge slabs are built once.
     """
 
-    def __init__(self, grid: GridField, pts: np.ndarray, scale: np.ndarray, tilt: Optional[np.ndarray],
-                 q: np.ndarray, quad: QuadratureSpec, interpolation: str):
-        dim = grid.dim
-        if dim > GH_MAX_DIM:
-            raise ValueError(f"gauss_hermite backend supports dimension <= {GH_MAX_DIM}, got {dim}")
+    def __init__(self, op: OperatorL, tau: float, grid: GridField, quad: QuadratureSpec, interpolation: str):
         self.order = _spline_order(interpolation)
+        if not (math.isfinite(tau) and tau > 0.0):
+            raise ValueError("tau must be positive")
+        if grid.dim != op.dim:
+            raise ValueError(f"field dimension {grid.dim} does not match operator dimension {op.dim}")
+        reach = _margin(op, tau)
+        for lo, hi in grid.bounds:
+            if reach >= hi - lo:
+                raise TruncationError(
+                    f"one-step Gaussian reach {reach:.3g} exceeds domain width {hi - lo:.3g}; enlarge the grid"
+                )
+        self.gauss_hermite = quad.backend == "gauss_hermite"
+        if self.gauss_hermite and grid.dim > GH_MAX_DIM:
+            raise ValueError(f"gauss_hermite backend supports dimension <= {GH_MAX_DIM}, got {grid.dim}")
+        pts = grid.meshpoints()
+        scale, tilt, self.prefactor = _step_coefficients(op, tau, pts)
+        if not self.gauss_hermite:
+            self.interpolation, self.quad, self.q = interpolation, quad, op.q
+            self.pts, self.scale, self.tilt = pts, scale, tilt
+            return
+
         self.mode, self.cval = _spline_mode(grid)
         self.shape = grid.values.shape
-
         self.matrices, self.drifts = [], []
         for i, (lo, hi) in enumerate(grid.bounds):
-            zc, self.node_weights = gaussian_nodes(quad, q[i : i + 1])  # the same weights on every axis
+            zc, self.node_weights = gaussian_nodes(quad, op.q[i : i + 1])  # the same weights on every axis
             zc = zc[:, 0]
             # node grid indices go straight in, so they are freed before the next axis is built
             self.matrices.append(_axis_matrix(
@@ -349,9 +371,9 @@ class _CompiledGHStep:
         self.edges = []
         if self.mode == "grid-constant":
             exterior = np.full(self.shape, self.cval)
-            for i in range(dim):
+            for i in range(grid.dim):
                 self.edges.append((exterior.take([0], axis=i), exterior.take([-1], axis=i)))
-                if i + 1 < dim:
+                if i + 1 < grid.dim:
                     exterior = self._factor(i, exterior)
 
     def _factor(self, i: int, coeffs: np.ndarray) -> np.ndarray:
@@ -363,50 +385,23 @@ class _CompiledGHStep:
             node_vals = node_vals * self.drifts[i]
         return (self.node_weights @ node_vals).reshape(self.shape)
 
-    def __call__(self, values: np.ndarray) -> np.ndarray:
-        for i in range(len(self.shape)):
-            if self.order > 1:
-                values = ndi.spline_filter1d(values, order=self.order, axis=i, mode=self.mode, output=np.float64)
-            values = self._factor(i, values)
-        return values.ravel()
-
-
-def _compile_step(op: OperatorL, tau: float, grid: GridField, quad: QuadratureSpec, interpolation: str):
-    """S_tau as a map (field, stream) -> field for fields on the geometry of `grid`.
-
-    The grid points and the per-point factors are computed once here, for both backends.
-    Gauss-Hermite node sums are compiled once into fixed weight tables; Monte Carlo draws a
-    fresh node set from Philox stream `stream` at every step, then prefilters the field and
-    interpolates it at the nodes.
-    """
-    _spline_order(interpolation)
-    if not (math.isfinite(tau) and tau > 0.0):
-        raise ValueError("tau must be positive")
-    if grid.dim != op.dim:
-        raise ValueError(f"field dimension {grid.dim} does not match operator dimension {op.dim}")
-    reach = _margin(op, tau)
-    for lo, hi in grid.bounds:
-        if reach >= hi - lo:
-            raise TruncationError(
-                f"one-step Gaussian reach {reach:.3g} exceeds domain width {hi - lo:.3g}; enlarge the grid"
-            )
-    pts = grid.meshpoints()
-    scale, tilt, prefactor = _step_coefficients(op, tau, pts)
-    if quad.backend == "gauss_hermite":
-        compiled = _CompiledGHStep(grid, pts, scale, tilt, op.q, quad, interpolation)
-        node_sum = lambda u, stream: compiled(u.values)
-    else:
-        node_sum = lambda u, stream: _node_sum(
-            _FieldEvaluator(u, interpolation), pts, scale, tilt, *gaussian_nodes(quad, op.q, stream)
-        )
-    return lambda u, stream: dataclasses.replace(
-        u, values=_prefactored(prefactor, node_sum(u, stream)).reshape(u.values.shape)
-    )
+    def __call__(self, u: GridField, stream: tuple) -> GridField:
+        if self.gauss_hermite:
+            values = u.values
+            for i in range(len(self.shape)):
+                if self.order > 1:
+                    values = ndi.spline_filter1d(values, order=self.order, axis=i, mode=self.mode, output=np.float64)
+                values = self._factor(i, values)
+            node_sum = values.ravel()
+        else:
+            node_sum = _node_sum(_FieldEvaluator(u, self.interpolation), self.pts, self.scale, self.tilt,
+                                 *gaussian_nodes(self.quad, self.q, stream))
+        return dataclasses.replace(u, values=_prefactored(self.prefactor, node_sum).reshape(u.values.shape))
 
 
 def apply_S(op: OperatorL, tau: float, u: GridField, quad: QuadratureSpec, interpolation: str = "cubic") -> GridField:
     """One application of S_tau to a grid field."""
-    return _compile_step(op, tau, u, quad, interpolation)(u, ())
+    return _Step(op, tau, u, quad, interpolation)(u, ())
 
 
 @dataclass(frozen=True, eq=False)
@@ -421,28 +416,22 @@ class ChernoffResult:
 
 def chernoff_solve(plan: ChernoffPlan, u0: GridField, checkpoint_steps: Sequence[int] = ()) -> ChernoffResult:
     """Iterate S_{t/n} n times; records sup-norms per step and optional snapshots."""
-    if u0.dim != plan.op.dim:
-        raise ValueError(f"field dimension {u0.dim} does not match operator dimension {plan.op.dim}")
-    margin = plan.required_margin()
-    for lo, hi in u0.bounds:
-        if 2.0 * margin >= hi - lo:
-            raise TruncationError(
-                f"chain margin {margin:.3g} leaves no interior in domain ({lo}, {hi}); enlarge the grid"
-            )
+    step_S = _Step(plan.op, plan.tau, u0, plan.quad, plan.interpolation)
     for k in checkpoint_steps:
         if not (isinstance(k, numbers.Integral) and 1 <= k <= plan.steps):
             raise ValueError(f"checkpoint step {k} outside 1..{plan.steps}")
+    margin = plan.required_margin()
     mask = u0.interior_mask(margin)
     if not mask.any():
         dx = max((hi - lo) / (u0.points_per_axis - 1) for lo, hi in u0.bounds)
         raise TruncationError(
-            f"chain margin {margin:.3g} leaves no grid point in the interior at spacing {dx:.3g}; refine the grid"
+            f"chain margin {margin:.3g} leaves no grid point in the interior at spacing {dx:.3g}; "
+            "enlarge or refine the grid"
         )
     sup_norms = np.empty(plan.steps)
     interior = np.empty(plan.steps)
     checkpoints: dict[int, GridField] = {}
     wanted = set(checkpoint_steps)
-    step_S = _compile_step(plan.op, plan.tau, u0, plan.quad, plan.interpolation)
     u = u0
     for step in range(1, plan.steps + 1):
         u = step_S(u, (step - 1,))

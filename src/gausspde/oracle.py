@@ -15,6 +15,7 @@ and checks the discrete residual before returning.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -74,16 +75,18 @@ class FDProblem:
         bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
         if len(bounds) != self.dim or any(not lo < hi for lo, hi in bounds):
             raise ValueError("bounds must be dim intervals with lo < hi")
-        if self.points_per_axis < 8:
+        if not (isinstance(self.points_per_axis, numbers.Integral) and self.points_per_axis >= 8):
             raise ValueError("points_per_axis must be at least 8")
         if not (math.isfinite(self.t_final) and self.t_final > 0.0):
             raise ValueError("t_final must be positive")
-        if self.time_steps < 1:
+        if not (isinstance(self.time_steps, numbers.Integral) and self.time_steps >= 1):
             raise ValueError("time_steps must be a positive integer")
         if self.scheme not in _SCHEMES:
             raise ValueError(f"scheme must be one of {_SCHEMES}")
         if self.boundary not in _BOUNDARIES:
             raise ValueError(f"boundary must be one of {_BOUNDARIES}")
+        if not math.isfinite(self.boundary_value):
+            raise ValueError("boundary_value must be finite")
         object.__setattr__(self, "bounds", bounds)
 
     @property

@@ -63,6 +63,12 @@ def test_cylfunction_validation():
         CylFunction(dim=1, eval=lambda x: x[:, 0], sup_bound=-1.0)
 
 
+def test_cylfunction_dim_must_be_an_integer():
+    with pytest.raises(ValueError, match="dim must be a positive integer"):
+        CylFunction(dim=1.5, eval=lambda x: x[:, 0], sup_bound=1.0)
+    assert CylFunction(dim=np.int64(2), eval=lambda x: x[:, 0], sup_bound=1.0).dim == 2
+
+
 def test_sup_bound_asserted_on_evaluation():
     f = CylFunction(dim=1, eval=lambda x: x[:, 0], sup_bound=1.0)
     assert_allclose(f(np.array([[0.5]])), [0.5])

@@ -67,6 +67,21 @@ def test_gridfield_validation():
     assert f.sup_norm == pytest.approx(np.max(np.abs(f.values)))
 
 
+@pytest.mark.parametrize("mode", ["clamp", "constant"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_gridfield_rejects_a_non_finite_boundary_value(mode, value):
+    # a NaN cval would come back from every read past the edge
+    with pytest.raises(ValueError, match="boundary_value must be finite"):
+        GridField(bounds=((-1.0, 1.0),), values=np.zeros(8), boundary_mode=mode, boundary_value=value)
+
+
+@pytest.mark.parametrize("points", [64.0, 2.5])
+def test_from_function_requires_an_integer_point_count(points):
+    with pytest.raises(ValueError, match="points_per_axis must be"):
+        GridField.from_function([(-1.0, 1.0)], points, lambda x: np.ones(x.shape[0]))
+    assert GridField.from_function([(-1.0, 1.0)], np.int64(8), lambda x: np.ones(x.shape[0])).points_per_axis == 8
+
+
 def test_gridfield_sample_reproduces_nodes():
     f = field_1d(lambda x: np.sin(x[:, 0]) + 0.3 * np.cos(2 * x[:, 0]), pts=128)
     pts = f.meshpoints()

@@ -207,6 +207,25 @@ def test_fd_validation():
         fd_solve(p, wrong)
 
 
+@pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
+@pytest.mark.parametrize("value", [math.nan, -math.inf])
+def test_fd_problem_rejects_a_non_finite_boundary_value(boundary, value):
+    # a NaN boundary_value would switch off fd_solve's Dirichlet edge check (NaN > tol is False)
+    with pytest.raises(ValueError, match="boundary_value must be finite"):
+        problem_1d(const_coeffs(), boundary=boundary, boundary_value=value)
+
+
+@pytest.mark.parametrize(
+    "count, message",
+    [("pts", "points_per_axis must be at least 8"), ("steps", "time_steps must be a positive integer")],
+)
+def test_fd_problem_counts_must_be_integers(count, message):
+    for value in (64.0, 2.5):
+        with pytest.raises(ValueError, match=message):
+            problem_1d(const_coeffs(), **{count: value})
+    problem_1d(const_coeffs(), **{count: np.int64(64)})  # numpy integers pass
+
+
 # ---------------------------------------------------------------- resolvent
 
 
