@@ -124,6 +124,11 @@ class GridField:
         return self.values.shape[0]
 
     @property
+    def spacings(self) -> tuple:
+        """Grid spacing of each axis."""
+        return tuple((hi - lo) / (self.points_per_axis - 1) for lo, hi in self.bounds)
+
+    @property
     def axes(self) -> tuple:
         return tuple(np.linspace(lo, hi, self.points_per_axis) for lo, hi in self.bounds)
 
@@ -146,8 +151,11 @@ class GridField:
         return mask
 
     def sample(self, points: np.ndarray, interpolation: str = "cubic") -> np.ndarray:
-        """Interpolated values at arbitrary points, honoring boundary_mode."""
-        return _FieldEvaluator(self, interpolation)(np.asarray(points, dtype=float))
+        """Interpolated values at an (m, dim) array of points, honoring boundary_mode."""
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != self.dim:
+            raise ValueError(f"points must be an (m, {self.dim}) array, got shape {points.shape}")
+        return _FieldEvaluator(self, interpolation)(points)
 
 
 def _spline_mode(fld: GridField) -> tuple[str, float]:
@@ -167,7 +175,7 @@ class _FieldEvaluator:
         if self.order > 1:
             self.coeffs = ndi.spline_filter(fld.values, order=self.order, mode=self.mode, output=np.float64)
         self.lo = np.array([lo for lo, _ in fld.bounds])
-        self.dx = np.array([(hi - lo) / (fld.points_per_axis - 1) for lo, hi in fld.bounds])
+        self.dx = np.array(fld.spacings)
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         idx = (pts - self.lo) / self.dx
@@ -358,12 +366,12 @@ class _Step:
         self.mode, self.cval = _spline_mode(grid)
         self.shape = grid.values.shape
         self.matrices, self.drifts = [], []
-        for i, (lo, hi) in enumerate(grid.bounds):
+        for i, ((lo, _), dx) in enumerate(zip(grid.bounds, grid.spacings)):
             zc, self.node_weights = gaussian_nodes(quad, op.q[i : i + 1])  # the same weights on every axis
             zc = zc[:, 0]
             # node grid indices go straight in, so they are freed before the next axis is built
             self.matrices.append(_axis_matrix(
-                (pts[None, :, i] + scale[None, :] * zc[:, None] - lo) / ((hi - lo) / (grid.points_per_axis - 1)),
+                (pts[None, :, i] + scale[None, :] * zc[:, None] - lo) / dx,
                 i, self.shape, self.order, self.mode,
             ))
             self.drifts.append(None if tilt is None else np.exp(np.outer(zc, tilt[:, i]) * scale[None, :]))
@@ -423,7 +431,7 @@ def chernoff_solve(plan: ChernoffPlan, u0: GridField, checkpoint_steps: Sequence
     margin = plan.required_margin()
     mask = u0.interior_mask(margin)
     if not mask.any():
-        dx = max((hi - lo) / (u0.points_per_axis - 1) for lo, hi in u0.bounds)
+        dx = max(u0.spacings)
         raise TruncationError(
             f"chain margin {margin:.3g} leaves no grid point in the interior at spacing {dx:.3g}; "
             "enlarge or refine the grid"

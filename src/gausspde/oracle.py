@@ -5,8 +5,14 @@ with central stencils on a uniform grid, either periodic (right endpoint of
 the closed grid is the wrapped duplicate of the left) or Dirichlet (boundary
 points pinned to a fixed value).  Time stepping is Crank-Nicolson (one sparse
 LU factorization, reused each step) or explicit Euler under the stability
-bound dt <= dx^2/(2 g_max q_1 dim), dx the smallest axis spacing.  Each axis's
-stencils use that axis's own spacing, so boxes need not be square.
+bound dt <= dx^2/(2 g_max q_1 dim), dx the smallest axis spacing.
+
+The operator is one Kronecker sum in every dimension.  Each axis's second-
+and first-difference stencils, at that axis's own spacing, act on the
+flattened grid as I (x) D_i (x) I; a periodic axis closes them with two
+corner entries.  g, B_i and C enter as diagonal factors.  On a Dirichlet box
+the boundary rows are zeroed, which pins those points: the time steppers
+leave them unchanged, and the resolvent puts a 1 on their diagonal.
 
 The resolvent solver inverts  lambda f - L f = rhs  (1D) by the same assembly
 and checks the discrete residual before returning.
@@ -17,7 +23,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,6 +47,8 @@ _BOUNDARIES = ("periodic", "dirichlet")
 
 def exact_constant_solution(gamma: float, a: float, c: float, k: float, t: float, x):
     """Exact solution e^{(c - gamma a k^2) t} cos(k x) of u_t = gamma a u'' + c u."""
+    if not all(math.isfinite(v) for v in (gamma, a, c, k, t)):
+        raise ValueError("gamma, a, c, k and t must be finite")
     if not (gamma > 0.0 and a > 0.0):
         raise ValueError("gamma and a must be positive")
     if c > 0.0:
@@ -112,66 +119,45 @@ class AssembledOperator:
     grid_shape: tuple
 
 
-def _d2(nu: int, dx: float, wrap: bool) -> sp.csr_matrix:
-    off = np.ones(nu - 1)
-    m = sp.diags([off, np.full(nu, -2.0), off], [-1, 0, 1], format="lil")
+def _axis_stencils(nu: int, dx: float, wrap: bool) -> tuple:
+    """Central second and first differences on an axis of nu points; wrap adds the periodic corners."""
+    offsets = [-1, 0, 1]
+    d2, d1 = [1.0, -2.0, 1.0], [-0.5, 0.0, 0.5]
     if wrap:
-        m[0, -1] = 1.0
-        m[-1, 0] = 1.0
-    return (m / (dx * dx)).tocsr()
+        offsets = [1 - nu] + offsets + [nu - 1]
+        d2, d1 = [1.0] + d2 + [1.0], [0.5] + d1 + [-0.5]
+    return tuple(sp.diags(v, offsets, shape=(nu, nu), format="csr") / h for v, h in ((d2, dx * dx), (d1, dx)))
 
 
-def _d1(nu: int, dx: float, wrap: bool) -> sp.csr_matrix:
-    off = np.full(nu - 1, 0.5)
-    m = sp.diags([-off, off], [-1, 1], format="lil")
-    if wrap:
-        m[0, -1] = -0.5
-        m[-1, 0] = 0.5
-    return (m / dx).tocsr()
+def _on_axis(d: sp.csr_matrix, i: int, nu: int, dim: int) -> sp.csr_matrix:
+    """One-axis operator d acting along axis i of the flattened grid (last axis fastest)."""
+    return sp.kron(sp.identity(nu**i), sp.kron(d, sp.identity(nu ** (dim - 1 - i))), format="csr")
 
 
 def assemble_operator(p: FDProblem) -> AssembledOperator:
+    """L as the sum over axes of I (x) D_i (x) I, with g, B and C as diagonal factors."""
     wrap = p.boundary == "periodic"
     axes = [ax[:-1] if wrap else ax for ax in p.closed_axes()]
     nu = axes[0].size
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
     q = p.A.block(p.dim)
-
-    d2s = [_d2(nu, dx, wrap) for dx in p.spacings]
-    d1s = [_d1(nu, dx, wrap) for dx in p.spacings]
-    if p.dim == 1:
-        ks, k1s = d2s, d1s
-    else:
-        eye = sp.identity(nu, format="csr")
-        ks = [sp.kron(d2s[0], eye, format="csr"), sp.kron(eye, d2s[1], format="csr")]
-        k1s = [sp.kron(d1s[0], eye, format="csr"), sp.kron(eye, d1s[1], format="csr")]
+    stencils = [[_on_axis(d, i, nu, p.dim) for d in _axis_stencils(nu, dx, wrap)] for i, dx in enumerate(p.spacings)]
 
     co = p.coeffs
-    gvals = co.g_at(pts)
-    diffusion = q[0] * ks[0]
-    for i in range(1, p.dim):
-        diffusion = diffusion + q[i] * ks[i]
-    m = sp.diags(gvals) @ diffusion
+    m = sp.diags(co.g_at(pts)) @ sum(qi * d2 for qi, (d2, _) in zip(q, stencils))
     bvals = co.b_at(pts)
     if bvals is not None:
-        for i in range(p.dim):
-            m = m + q[i] * (sp.diags(bvals[:, i]) @ k1s[i])
+        for qi, bi, (_, d1) in zip(q, bvals.T, stencils):
+            m = m + qi * (sp.diags(bi) @ d1)
     m = m + sp.diags(co.c_at(pts))
 
-    if wrap:
-        interior = np.ones(pts.shape[0], dtype=bool)
-    else:
-        interior = np.ones(pts.shape[0], dtype=bool)
-        idx = np.unravel_index(np.arange(pts.shape[0]), (nu,) * p.dim)
-        for axis_idx in idx:
-            interior &= (axis_idx != 0) & (axis_idx != nu - 1)
+    interior = np.full((nu,) * p.dim, wrap)
+    interior[(slice(1, -1),) * p.dim] = True
+    interior = interior.ravel()
+    if not wrap:
         # boundary rows carry no dynamics: their values stay pinned
         m = sp.diags(interior.astype(float)) @ m
-
-    return AssembledOperator(
-        matrix=m.tocsr(), points=pts, interior=interior, grid_shape=(nu,) * p.dim
-    )
+    return AssembledOperator(matrix=m.tocsr(), points=pts, interior=interior, grid_shape=(nu,) * p.dim)
 
 
 def _check_geometry(p: FDProblem, u0: GridField):
@@ -184,32 +170,25 @@ def _check_geometry(p: FDProblem, u0: GridField):
 
 def _extract(p: FDProblem, u0: GridField) -> np.ndarray:
     vals = u0.values
-    scale = 1.0 + float(np.max(np.abs(vals)))
-    if p.boundary == "periodic":
-        wrap_gap = 0.0
-        for axis in range(p.dim):
-            first = np.take(vals, 0, axis=axis)
-            last = np.take(vals, -1, axis=axis)
-            wrap_gap = max(wrap_gap, float(np.max(np.abs(first - last))))
-        if wrap_gap > 1e-8 * scale:
-            raise ValueError("periodic problem requires matching values at the wrapped endpoints")
-        sl = tuple(slice(0, -1) for _ in range(p.dim))
-        return vals[sl].ravel()
-    edge_gap = 0.0
+    periodic = p.boundary == "periodic"
+    gap = 0.0
     for axis in range(p.dim):
-        for side in (0, -1):
-            edge_gap = max(edge_gap, float(np.max(np.abs(np.take(vals, side, axis=axis) - p.boundary_value))))
-    if edge_gap > 1e-8 * scale:
+        first, last = np.take(vals, 0, axis=axis), np.take(vals, -1, axis=axis)
+        # periodic: the last slab duplicates the first; dirichlet: both equal boundary_value
+        pairs = [(last, first)] if periodic else [(first, p.boundary_value), (last, p.boundary_value)]
+        for slab, want in pairs:
+            gap = max(gap, float(np.max(np.abs(slab - want))))
+    if gap > 1e-8 * (1.0 + float(np.max(np.abs(vals)))):
+        if periodic:
+            raise ValueError("periodic problem requires matching values at the wrapped endpoints")
         raise ValueError("dirichlet problem requires the initial field to equal boundary_value on the boundary")
-    return vals.ravel()
+    return vals[(slice(0, -1),) * p.dim].ravel() if periodic else vals.ravel()
 
 
-def _wrap_back(p: FDProblem, vec: np.ndarray) -> np.ndarray:
-    if p.boundary == "periodic":
-        nu = p.points_per_axis - 1
-        arr = vec.reshape((nu,) * p.dim)
-        return np.pad(arr, [(0, 1)] * p.dim, mode="wrap")
-    return vec.reshape((p.points_per_axis,) * p.dim)
+def _wrap_back(p: FDProblem, asm: AssembledOperator, vec: np.ndarray) -> np.ndarray:
+    """Unknowns back on the closed grid; a periodic grid gets its wrapped duplicates back."""
+    arr = vec.reshape(asm.grid_shape)
+    return np.pad(arr, [(0, 1)] * p.dim, mode="wrap") if p.boundary == "periodic" else arr
 
 
 def _require_diagonally_dominant(a: sp.csr_matrix):
@@ -239,8 +218,7 @@ def fd_solve(p: FDProblem, u0: GridField) -> GridField:
         for _ in range(p.time_steps):
             u = u + dt * (m @ u)
     else:
-        n = m.shape[0]
-        eye = sp.identity(n, format="csr")
+        eye = sp.identity(m.shape[0], format="csr")
         a1 = (eye - 0.5 * dt * m).tocsr()
         _require_diagonally_dominant(a1)
         a2 = (eye + 0.5 * dt * m).tocsr()
@@ -252,7 +230,7 @@ def fd_solve(p: FDProblem, u0: GridField) -> GridField:
         raise RuntimeError("finite-difference march produced non-finite values")
     return GridField(
         bounds=p.bounds,
-        values=_wrap_back(p, u),
+        values=_wrap_back(p, asm, u),
         boundary_mode=u0.boundary_mode,
         boundary_value=u0.boundary_value,
     )
@@ -267,16 +245,11 @@ def resolvent_solve(p: FDProblem, lam: float, rhs: CylFunction) -> GridField:
     if rhs.dim != 1:
         raise ValueError("rhs must be a 1D cylindrical function")
     asm = assemble_operator(p)
-    n = asm.matrix.shape[0]
-    system = (lam * sp.identity(n, format="csr") - asm.matrix).tolil()
-    rhs_vec = rhs(asm.points).copy()
-    if p.boundary == "dirichlet":
-        for j in np.flatnonzero(~asm.interior):
-            system.rows[j] = [j]
-            system.data[j] = [1.0]
-            rhs_vec[j] = p.boundary_value
+    # assemble_operator leaves the Dirichlet rows empty, so a 1 on their diagonal pins them
+    system = sp.diags(np.where(asm.interior, lam, 1.0)) - asm.matrix
+    rhs_vec = np.where(asm.interior, rhs(asm.points), p.boundary_value)
     f = splu(system.tocsc()).solve(rhs_vec)
-    residual = np.max(np.abs(system.tocsr() @ f - rhs_vec))
+    residual = np.max(np.abs(system @ f - rhs_vec))
     if residual > 1e-10 * max(1.0, float(np.max(np.abs(rhs_vec)))):
         raise RuntimeError(f"resolvent solve residual {residual:.3g} exceeds tolerance")
-    return GridField(bounds=p.bounds, values=_wrap_back(p, f))
+    return GridField(bounds=p.bounds, values=_wrap_back(p, asm, f))

@@ -96,6 +96,15 @@ def test_gridfield_sample_accuracy_between_nodes():
     assert err < 1e-7
 
 
+@pytest.mark.parametrize("shape", [(2, 1), (2, 3), (2,), (1, 2, 2)])
+def test_gridfield_sample_requires_points_of_the_field_width(shape):
+    # unchecked, (2, 1) points broadcast against both axes of a 2D field: [[.5], [.25]] reads (.5, .5), (.25, .25)
+    f = GridField.from_function([(-1.0, 1.0)] * 2, 16, lambda x: x[:, 0] + 2.0 * x[:, 1])
+    with pytest.raises(ValueError, match=r"points must be an \(m, 2\) array"):
+        f.sample(np.full(shape, 0.25))
+    assert_allclose(f.sample(np.array([[0.5, 0.25]]), interpolation="linear"), [1.0])
+
+
 def test_gridfield_constant_boundary_mode():
     f = GridField.from_function(
         [(-1.0, 1.0)], 64, lambda x: np.ones(x.shape[0]), boundary_mode="constant", boundary_value=0.0

@@ -64,6 +64,16 @@ def test_exact_constant_solution_examples():
         exact_constant_solution(1.0, 0.5, 0.2, 1.0, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("name", ["gamma", "a", "c", "k", "t"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_exact_constant_solution_rejects_non_finite_arguments(name, value):
+    # unchecked, NaN in c, k or t comes back as NaN values, and t = inf as zeros
+    args = dict(gamma=1.0, a=0.5, c=-0.1, k=1.0, t=1.0)
+    args[name] = value
+    with pytest.raises(ValueError):
+        exact_constant_solution(x=np.linspace(-1.0, 1.0, 5), **args)
+
+
 # ---------------------------------------------------------------- fd_solve
 
 
@@ -172,6 +182,58 @@ def test_fd_dirichlet_sine_decay():
     ref = math.exp(-0.25) * np.sin(out.axes[0])
     assert abs(out.values[0]) < 1e-12 and abs(out.values[-1]) < 1e-12
     assert np.max(np.abs(out.values - ref)) < 1e-4
+
+
+@pytest.mark.parametrize("scheme, steps", [("crank_nicolson", 500), ("explicit_euler", 2000)])
+def test_fd_constant_drift_shifts_the_cosine(scheme, steps):
+    # u_t = g q u'' + q b u' + c u carries cos x to e^{(c - g q) t} cos(x + q b t); dropping the
+    # drift leaves an error of 0.13, and a first difference of the wrong sign one of 0.27
+    q, b, c, t = 0.5, 0.8, -0.3, 0.5
+    p = problem_1d(const_coeffs(g=1.0, b=[b], c=c), q=(q,), pts=257, steps=steps, t=t, scheme=scheme)
+    out = fd_solve(p, cos_field(p))
+    ref = math.exp((c - q) * t) * np.cos(out.axes[0] + q * b * t)
+    assert np.max(np.abs(out.values - ref)) < 1e-4
+
+
+def test_fd_2d_drift_acts_on_its_own_axis():
+    # drift on axis 2 only: a Kronecker product in the wrong order moves axis 1 instead (error 0.10)
+    q, b2, t = (0.5, 0.25), 0.6, 0.5
+    p = FDProblem(
+        dim=2,
+        coeffs=const_coeffs(g=1.0, b=[0.0, b2], c=0.0, dim=2),
+        A=TraceClassOperator(list(q)),
+        bounds=((-math.pi, math.pi), (-math.pi, math.pi)),
+        points_per_axis=65,
+        t_final=t,
+        time_steps=200,
+    )
+    u0 = GridField.from_function(p.bounds, p.points_per_axis, lambda x: np.cos(x[:, 0]) * np.cos(x[:, 1]))
+    out = fd_solve(p, u0)
+    pts = u0.meshpoints()
+    ref = math.exp(-sum(q) * t) * np.cos(pts[:, 0]) * np.cos(pts[:, 1] + q[1] * b2 * t)
+    assert np.max(np.abs(out.values.ravel() - ref)) < 1e-3
+
+
+def test_fd_2d_dirichlet_box():
+    q, t = (0.5, 0.25), 0.5
+    p = FDProblem(
+        dim=2,
+        coeffs=const_coeffs(g=1.0, c=0.0, dim=2),
+        A=TraceClassOperator(list(q)),
+        bounds=((0.0, math.pi), (0.0, 2.0 * math.pi)),
+        points_per_axis=65,
+        t_final=t,
+        time_steps=200,
+        boundary="dirichlet",
+    )
+    u0 = GridField.from_function(p.bounds, p.points_per_axis, lambda x: np.sin(x[:, 0]) * np.sin(0.5 * x[:, 1]))
+    out = fd_solve(p, u0)
+    pts = u0.meshpoints()
+    ref = math.exp(-(q[0] + 0.25 * q[1]) * t) * np.sin(pts[:, 0]) * np.sin(0.5 * pts[:, 1])
+    assert np.max(np.abs(out.values.ravel() - ref)) < 1e-4
+    v = out.values
+    for edge in (v[0], v[-1], v[:, 0], v[:, -1]):
+        assert np.max(np.abs(edge)) < 1e-12
 
 
 def test_fd_crank_nicolson_contractive_per_step():
