@@ -48,7 +48,7 @@ class CylFunction:
 
     The bound is asserted at every evaluation; declared grad/hess callbacks
     are cross-checked against finite differences at fixed probe points on
-    construction.
+    construction.  A constant_value marks the function as that constant.
     """
 
     dim: int
@@ -57,7 +57,6 @@ class CylFunction:
     hess: Optional[Callable[[np.ndarray], np.ndarray]] = None
     fd_step: float = 1e-5
     sup_bound: float = field(kw_only=True)
-    is_constant: bool = field(default=False, kw_only=True)
     constant_value: Optional[float] = field(default=None, kw_only=True)
 
     def __post_init__(self):
@@ -79,18 +78,12 @@ class CylFunction:
             grad=lambda x: np.zeros_like(x),
             hess=lambda x: np.zeros((x.shape[0], x.shape[1], x.shape[1])),
             sup_bound=abs(v),
-            is_constant=True,
             constant_value=v,
         )
 
-    @classmethod
-    def from_pointwise(cls, f: Callable[[np.ndarray], float], dim: int, *, sup_bound: float, **kw) -> "CylFunction":
-        """Wrap a scalar-argument function into the vectorized evaluator contract."""
-
-        def batched(x: np.ndarray) -> np.ndarray:
-            return np.array([float(f(row)) for row in x])
-
-        return cls(dim=dim, eval=batched, sup_bound=sup_bound, **kw)
+    @property
+    def is_constant(self) -> bool:
+        return self.constant_value is not None
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         vals = np.asarray(self.eval(x), dtype=float)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -477,9 +477,7 @@ def norm_bound_check(
 
 
 def _c_is_nonpositive(co: Coefficients) -> bool:
-    if co.contractive:
-        return True
-    return co.C.is_constant and co.C.constant_value is not None and co.C.constant_value <= 0.0
+    return co.contractive or (co.C.is_constant and co.C.constant_value <= 0.0)
 
 
 def coefficient_continuity_probe(op0: OperatorL, op_j: OperatorL, plan: ChernoffPlan, u0: GridField) -> float:

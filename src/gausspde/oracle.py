@@ -3,16 +3,15 @@
 Finite differences discretize  u'_t = g(x) sum_i q_i u_ii + sum_i q_i B_i(x) u_i + C(x) u
 with central stencils on a uniform grid, either periodic (right endpoint of
 the closed grid is the wrapped duplicate of the left) or Dirichlet (boundary
-points pinned to a fixed value).  Time stepping is Crank-Nicolson (one sparse
-LU factorization, reused each step) or explicit Euler under the stability
-bound dt <= dx^2/(2 g_max q_1 dim), dx the smallest axis spacing.
+points pinned to a fixed value).  Time stepping is Crank-Nicolson: one sparse
+LU factorization, reused each step.
 
 The operator is one Kronecker sum in every dimension.  Each axis's second-
 and first-difference stencils, at that axis's own spacing, act on the
 flattened grid as I (x) D_i (x) I; a periodic axis closes them with two
 corner entries.  g, B_i and C enter as diagonal factors.  On a Dirichlet box
-the boundary rows are zeroed, which pins those points: the time steppers
-leave them unchanged, and the resolvent puts a 1 on their diagonal.
+the boundary rows are zeroed, which pins those points: the time stepper
+leaves them unchanged, and the resolvent puts a 1 on their diagonal.
 
 The resolvent solver inverts  lambda f - L f = rhs  (1D) by the same assembly
 and checks the discrete residual before returning.
@@ -41,7 +40,6 @@ __all__ = [
     "resolvent_solve",
 ]
 
-_SCHEMES = ("crank_nicolson", "explicit_euler")
 _BOUNDARIES = ("periodic", "dirichlet")
 
 
@@ -60,7 +58,7 @@ def exact_constant_solution(gamma: float, a: float, c: float, k: float, t: float
 
 @dataclass(frozen=True, eq=False)
 class FDProblem:
-    """Grid, scheme and coefficients for one reference finite-difference run."""
+    """Grid, coefficients and Crank-Nicolson time steps for one reference finite-difference run."""
 
     dim: int
     coeffs: Coefficients
@@ -69,7 +67,6 @@ class FDProblem:
     points_per_axis: int
     t_final: float
     time_steps: int
-    scheme: str = "crank_nicolson"
     boundary: str = "periodic"
     boundary_value: float = 0.0
 
@@ -88,8 +85,6 @@ class FDProblem:
             raise ValueError("t_final must be positive")
         if not (isinstance(self.time_steps, numbers.Integral) and self.time_steps >= 1):
             raise ValueError("time_steps must be a positive integer")
-        if self.scheme not in _SCHEMES:
-            raise ValueError(f"scheme must be one of {_SCHEMES}")
         if self.boundary not in _BOUNDARIES:
             raise ValueError(f"boundary must be one of {_BOUNDARIES}")
         if not math.isfinite(self.boundary_value):
@@ -201,30 +196,20 @@ def _require_diagonally_dominant(a: sp.csr_matrix):
 
 
 def fd_solve(p: FDProblem, u0: GridField) -> GridField:
-    """March u'_t = L u to t_final with the configured scheme and boundary."""
+    """March u'_t = L u to t_final by Crank-Nicolson with the configured boundary."""
     _check_geometry(p, u0)
     asm = assemble_operator(p)
     u = _extract(p, u0)
     m = asm.matrix
     dt = p.dt
 
-    if p.scheme == "explicit_euler":
-        q1 = float(p.A.block(p.dim)[0])
-        limit = min(p.spacings) ** 2 / (2.0 * p.coeffs.g_max * q1 * p.dim)
-        if dt > limit * (1.0 + 1e-12):
-            raise ValueError(
-                f"explicit Euler is unstable: dt = {dt:.3g} exceeds dx^2/(2 g_max q_1 dim) = {limit:.3g}"
-            )
-        for _ in range(p.time_steps):
-            u = u + dt * (m @ u)
-    else:
-        eye = sp.identity(m.shape[0], format="csr")
-        a1 = (eye - 0.5 * dt * m).tocsr()
-        _require_diagonally_dominant(a1)
-        a2 = (eye + 0.5 * dt * m).tocsr()
-        lu = splu(a1.tocsc())
-        for _ in range(p.time_steps):
-            u = lu.solve(a2 @ u)
+    eye = sp.identity(m.shape[0], format="csr")
+    a1 = (eye - 0.5 * dt * m).tocsr()
+    _require_diagonally_dominant(a1)
+    a2 = (eye + 0.5 * dt * m).tocsr()
+    lu = splu(a1.tocsc())
+    for _ in range(p.time_steps):
+        u = lu.solve(a2 @ u)
 
     if not np.all(np.isfinite(u)):
         raise RuntimeError("finite-difference march produced non-finite values")

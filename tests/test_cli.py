@@ -185,6 +185,24 @@ def test_converge_requires_an_oracle(tmp_path, capsys):
     assert "oracle" in capsys.readouterr().err
 
 
+def test_converge_exits_2_when_the_oracle_box_misses_the_interior(tmp_path, capsys):
+    data = json.loads((CONFIG_DIR / "converge_variable_g.json").read_text())
+    data["oracle"]["bounds"] = [[-8.4, -8.0]]  # inside the grid, but within the padding
+    path = write_config(tmp_path, data)
+    assert main(["converge", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: oracle.bounds") and "no engine interior points" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_missing_output_exits_2_naming_the_key(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, fast_verify_dict())
+    assert main(["solve", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: output")
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_verify_passes_and_is_byte_identical(tmp_path):
     path = write_config(tmp_path, fast_verify_dict())
     first, second = tmp_path / "a.csv", tmp_path / "b.csv"

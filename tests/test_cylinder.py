@@ -80,8 +80,6 @@ def test_constant_and_pointwise_constructors():
     c = CylFunction.constant(-0.5, dim=2)
     assert_allclose(c(np.zeros((3, 2))), [-0.5, -0.5, -0.5])
     assert c.is_constant and c.constant_value == -0.5
-    g = CylFunction.from_pointwise(lambda x: math.cos(x[0]), dim=1, sup_bound=1.0)
-    assert_allclose(g(np.array([[0.0], [math.pi]])), [1.0, -1.0])
 
 
 def test_declared_grad_must_match_finite_differences():

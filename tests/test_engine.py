@@ -20,7 +20,7 @@ from gausspde.engine import (
     norm_bound_check,
     tangency_residual,
 )
-from gausspde.gauss import QuadratureSpec, TraceClassOperator
+from gausspde.gauss import IntegrandError, QuadratureSpec, TraceClassOperator
 
 GH = QuadratureSpec(backend="gauss_hermite", nodes_per_dim=32)
 
@@ -177,6 +177,19 @@ def test_apply_s_2d_product_solution():
     pts = u.meshpoints()[mask.ravel()]
     ref = math.exp(-tau * (0.5 + 0.25)) * np.cos(pts[:, 0]) * np.cos(pts[:, 1])
     assert np.max(np.abs(out.values.ravel()[mask.ravel()] - ref)) < 1e-5
+
+
+def test_step_rejects_a_field_of_another_dimension():
+    u2 = GridField.from_function([(-9.3, 9.3)] * 2, 32, lambda x: np.cos(x[:, 0]))
+    with pytest.raises(ValueError, match="field dimension 2 does not match operator dimension 1"):
+        engine._Step(const_op(), 0.1, u2, GH, "cubic")
+
+
+def test_apply_s_overflow_is_an_integrand_error():
+    # e^{tau C} = e^{800} overflows, so every prefactored value is inf
+    u = field_1d(lambda x: np.cos(x[:, 0]))
+    with np.errstate(over="ignore"), pytest.raises(IntegrandError, match="one-step integral produced a non-finite"):
+        apply_S(const_op(c=800.0), 1.0, u, GH)
 
 
 def test_apply_s_linearity():
@@ -407,6 +420,12 @@ def test_tangency_requires_analytic_derivatives():
         tangency_residual(op, fd_only, 1e-2, np.zeros((1, 1)), GH)
 
 
+def test_tangency_requires_points_of_the_operator_width():
+    op = const_op(g=1.0, c=0.0)
+    with pytest.raises(ValueError, match=r"grid must be a nonempty \(m, 1\) array"):
+        tangency_residual(op, cos_cyl(), 1e-2, np.zeros((3, 2)), GH)
+
+
 # ---------------------------------------------------------------- chernoff_solve
 
 
@@ -568,6 +587,21 @@ def test_continuity_probe_rejects_drift():
     plan = ChernoffPlan(t_final=0.5, steps=8, quad=GH, op=op0)
     with pytest.raises(ValueError):
         coefficient_continuity_probe(op0, op_drift, plan, u0)
+
+
+def test_continuity_probe_requires_nonpositive_c_and_steps_divisible_by_4():
+    op0 = variable_g_op()
+    u0 = field_1d(lambda x: np.cos(x[:, 0]), half=8.4, pts=256)
+    plan = ChernoffPlan(t_final=0.5, steps=8, quad=GH, op=op0)
+    growing = const_op(g=1.0, c=0.2, q=(0.5,))
+    with pytest.raises(ValueError, match=r"requires C <= 0 \(op_j violates it\)"):
+        coefficient_continuity_probe(op0, growing, plan, u0)
+    # a constant C <= 0 passes without the contractive flag
+    decaying = const_op(g=1.0, c=-0.2, q=(0.5,))
+    assert coefficient_continuity_probe(op0, decaying, plan, u0) > 0.0
+    six = ChernoffPlan(t_final=0.5, steps=6, quad=GH, op=op0)
+    with pytest.raises(ValueError, match="steps divisible by 4"):
+        coefficient_continuity_probe(op0, op0, six, u0)
 
 
 def test_plan_validation():

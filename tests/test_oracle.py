@@ -1,6 +1,5 @@
 """Reference finite-difference solvers and closed-form solutions."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -31,7 +30,7 @@ def const_coeffs(g=1.0, b=None, c=0.0, dim=1, contractive=False):
 
 
 def problem_1d(coeffs, *, q=(0.5,), pts=512, steps=2000, t=1.0, half=math.pi,
-               scheme="crank_nicolson", boundary="periodic", boundary_value=0.0):
+               boundary="periodic", boundary_value=0.0):
     return FDProblem(
         dim=1,
         coeffs=coeffs,
@@ -40,7 +39,6 @@ def problem_1d(coeffs, *, q=(0.5,), pts=512, steps=2000, t=1.0, half=math.pi,
         points_per_axis=pts,
         t_final=t,
         time_steps=steps,
-        scheme=scheme,
         boundary=boundary,
         boundary_value=boundary_value,
     )
@@ -104,17 +102,6 @@ def test_fd_richardson_self_convergence():
     assert 2.5 < d1 / d2 < 6.0
 
 
-def test_fd_explicit_euler_guard_and_accuracy():
-    co = const_coeffs(g=1.0, c=0.0)
-    unstable = problem_1d(co, pts=128, steps=20, t=0.2, scheme="explicit_euler")
-    with pytest.raises(ValueError):
-        fd_solve(unstable, cos_field(unstable))
-    stable = problem_1d(co, pts=128, steps=200, t=0.2, scheme="explicit_euler")
-    out = fd_solve(stable, cos_field(stable))
-    ref = exact_constant_solution(1.0, 0.5, 0.0, 1.0, 0.2, out.axes[0])
-    assert np.max(np.abs(out.values - ref)) < 1e-3
-
-
 def test_fd_2d_product_solution():
     co = const_coeffs(g=1.0, c=0.0, dim=2)
     p = FDProblem(
@@ -125,14 +112,15 @@ def test_fd_2d_product_solution():
         points_per_axis=65,
         t_final=0.5,
         time_steps=200,
-        scheme="crank_nicolson",
         boundary="periodic",
     )
-    u0 = GridField.from_function(p.bounds, p.points_per_axis, lambda x: np.cos(x[:, 0]) * np.cos(x[:, 1]))
-    out = fd_solve(p, u0)
-    pts = u0.meshpoints()
-    ref = math.exp(-0.5 * (0.5 + 0.25)) * np.cos(pts[:, 0]) * np.cos(pts[:, 1])
-    assert np.max(np.abs(out.values.ravel() - ref)) < 5e-3
+    # cos x1 cos(2 x2) decays as e^{-1.5 t}, and as e^{-2.25 t} with the axes swapped
+    for k2 in (1.0, 2.0):
+        u0 = GridField.from_function(p.bounds, p.points_per_axis, lambda x: np.cos(x[:, 0]) * np.cos(k2 * x[:, 1]))
+        out = fd_solve(p, u0)
+        pts = u0.meshpoints()
+        ref = math.exp(-0.5 * (0.5 + 0.25 * k2 * k2)) * np.cos(pts[:, 0]) * np.cos(k2 * pts[:, 1])
+        assert np.max(np.abs(out.values.ravel() - ref)) < 5e-3
 
 
 def test_fd_2d_non_square_box_uses_each_axis_spacing():
@@ -154,13 +142,6 @@ def test_fd_2d_non_square_box_uses_each_axis_spacing():
     # 1.7e-4 with each axis's own spacing; 6.7e-2 with axis 1's spacing on both axes
     assert np.max(np.abs(out.values.ravel() - ref)) < 1e-3
     assert p.spacings == pytest.approx((math.pi / 32, math.pi / 16), rel=1e-15)
-    # explicit Euler's bound dx^2/(2 g_max q_1 dim) takes the finer axis: dt = 2.5e-3 is within
-    # it at axis 1's spacing (4.8e-3) but not at axis 2's (1.2e-3)
-    euler = dataclasses.replace(
-        p, bounds=((-math.pi, math.pi), (-0.5 * math.pi, 0.5 * math.pi)), scheme="explicit_euler"
-    )
-    with pytest.raises(ValueError, match="explicit Euler is unstable"):
-        fd_solve(euler, GridField.from_function(euler.bounds, 65, lambda x: np.cos(x[:, 0]) * np.cos(2.0 * x[:, 1])))
 
 
 def test_fd_dirichlet_sine_decay():
@@ -173,7 +154,6 @@ def test_fd_dirichlet_sine_decay():
         points_per_axis=257,
         t_final=0.5,
         time_steps=500,
-        scheme="crank_nicolson",
         boundary="dirichlet",
         boundary_value=0.0,
     )
@@ -184,12 +164,11 @@ def test_fd_dirichlet_sine_decay():
     assert np.max(np.abs(out.values - ref)) < 1e-4
 
 
-@pytest.mark.parametrize("scheme, steps", [("crank_nicolson", 500), ("explicit_euler", 2000)])
-def test_fd_constant_drift_shifts_the_cosine(scheme, steps):
+def test_fd_constant_drift_shifts_the_cosine():
     # u_t = g q u'' + q b u' + c u carries cos x to e^{(c - g q) t} cos(x + q b t); dropping the
     # drift leaves an error of 0.13, and a first difference of the wrong sign one of 0.27
     q, b, c, t = 0.5, 0.8, -0.3, 0.5
-    p = problem_1d(const_coeffs(g=1.0, b=[b], c=c), q=(q,), pts=257, steps=steps, t=t, scheme=scheme)
+    p = problem_1d(const_coeffs(g=1.0, b=[b], c=c), q=(q,), pts=257, steps=500, t=t)
     out = fd_solve(p, cos_field(p))
     ref = math.exp((c - q) * t) * np.cos(out.axes[0] + q * b * t)
     assert np.max(np.abs(out.values - ref)) < 1e-4
@@ -260,13 +239,22 @@ def test_fd_validation():
             points_per_axis=16,
             t_final=1.0,
             time_steps=10,
-            scheme="crank_nicolson",
             boundary="periodic",
         )
     p = problem_1d(co)
     wrong = GridField.from_function([(-1.0, 1.0)], p.points_per_axis, lambda x: np.ones(x.shape[0]))
     with pytest.raises(ValueError):
         fd_solve(p, wrong)
+
+
+def test_fd_solve_checks_the_initial_field_at_the_edges():
+    p = problem_1d(const_coeffs(), pts=64, steps=10)
+    ramp = GridField.from_function(p.bounds, p.points_per_axis, lambda x: x[:, 0])
+    with pytest.raises(ValueError, match="matching values at the wrapped endpoints"):
+        fd_solve(p, ramp)
+    d = problem_1d(const_coeffs(), pts=64, steps=10, boundary="dirichlet", boundary_value=0.5)
+    with pytest.raises(ValueError, match="equal boundary_value on the boundary"):
+        fd_solve(d, cos_field(d))
 
 
 @pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
