@@ -48,7 +48,8 @@ class CylFunction:
 
     The bound is asserted at every evaluation; declared grad/hess callbacks
     are cross-checked against finite differences at fixed probe points on
-    construction.  A constant_value marks the function as that constant.
+    construction.  A constant_value marks the function as that constant; eval
+    must return exactly that value at the probe points.
     """
 
     dim: int
@@ -66,6 +67,10 @@ class CylFunction:
             raise ValueError("fd_step must be positive")
         if not (np.isfinite(self.sup_bound) and self.sup_bound >= 0.0):
             raise ValueError("sup_bound must be a finite nonnegative real")
+        if self.constant_value is not None and np.any(self(self._probe_points()) != self.constant_value):
+            raise ValueError(
+                f"eval disagrees with the declared constant_value {self.constant_value} at probe points"
+            )
         if self.grad is not None or self.hess is not None:
             self._probe_derivatives()
 

@@ -82,6 +82,13 @@ def test_constant_and_pointwise_constructors():
     assert c.is_constant and c.constant_value == -0.5
 
 
+def test_declared_constant_value_must_match_eval():
+    # unchecked, this B would make Coefficients drop the drift, though it reads 0.5 at pi/2
+    with pytest.raises(ValueError, match="constant_value"):
+        CylFunction(dim=1, eval=lambda x: 0.5 * np.sin(x[:, 0]), sup_bound=0.5, constant_value=0.0)
+    assert CylFunction(dim=3, eval=lambda x: np.full(x.shape[0], 0.25), sup_bound=0.25, constant_value=0.25).is_constant
+
+
 def test_declared_grad_must_match_finite_differences():
     with pytest.raises(ValueError):
         CylFunction(

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
+from scipy.sparse.linalg import splu
 
 from gausspde.cylinder import Coefficients, CylFunction, OperatorL
 from gausspde.engine import GridField
@@ -213,6 +215,45 @@ def test_fd_2d_dirichlet_box():
     v = out.values
     for edge in (v[0], v[-1], v[:, 0], v[:, -1]):
         assert np.max(np.abs(edge)) < 1e-12
+
+
+@pytest.mark.parametrize("drift", [False, True], ids=["no_drift", "drift"])
+@pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_fd_solve_matches_the_textbook_crank_nicolson_march(dim, boundary, drift):
+    # the reference: default splu of a1 = I - dt/2 L, then u <- a1^{-1} (a2 u) with a2 = I + dt/2 L
+    g = CylFunction(dim=dim, eval=lambda x: 1.0 + 0.5 * np.sin(x[:, 0]), sup_bound=1.5)
+    B = [CylFunction.constant(b, dim) for b in (0.8, -0.5)[:dim]] if drift else None
+    co = Coefficients(g=g, B=B, C=CylFunction.constant(-0.2, dim), g_floor=0.5)
+    periodic = boundary == "periodic"
+    bv = 0.0 if periodic else 0.37
+    p = FDProblem(
+        dim=dim,
+        coeffs=co,
+        A=TraceClassOperator([0.5, 0.25][:dim]),
+        bounds=((-math.pi, math.pi) if periodic else (0.0, math.pi),) * dim,
+        points_per_axis=129 if dim == 1 else 33,
+        t_final=0.5,
+        time_steps=100 if dim == 1 else 50,
+        boundary=boundary,
+        boundary_value=bv,
+    )
+    wave = np.cos if periodic else np.sin
+    u0 = GridField.from_function(p.bounds, p.points_per_axis, lambda x: bv + np.prod(wave(x), axis=1))
+    out = fd_solve(p, u0).values
+
+    m = assemble_operator(p).matrix
+    eye = sp.identity(m.shape[0], format="csr")
+    lu = splu((eye - 0.5 * p.dt * m).tocsc())
+    a2 = (eye + 0.5 * p.dt * m).tocsr()
+    unknowns = (slice(0, -1) if periodic else slice(None),) * dim
+    u = u0.values[unknowns].ravel()
+    for _ in range(p.time_steps):
+        u = lu.solve(a2 @ u)
+    assert np.max(np.abs(out[unknowns].ravel() - u)) < 1e-12 * (1.0 + np.max(np.abs(u)))
+    if not periodic:
+        edges = np.concatenate([np.take(out, k, axis=i).ravel() for i in range(dim) for k in (0, -1)])
+        assert np.max(np.abs(edges - bv)) < 1e-12
 
 
 def test_fd_crank_nicolson_contractive_per_step():
