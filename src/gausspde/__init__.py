@@ -52,7 +52,7 @@ from .gauss import (
     philox_generator,
     scale_identity_residual,
 )
-from .oracle import FDProblem, exact_constant_solution, fd_solve, resolvent_solve
+from .oracle import ExactConstant, FDProblem, exact_constant_solution, fd_solve, resolvent_solve
 
 __version__ = "0.1.0"
 
@@ -64,6 +64,7 @@ __all__ = [
     "Coefficients",
     "ConfigError",
     "CylFunction",
+    "ExactConstant",
     "ExperimentConfig",
     "FDProblem",
     "GaussianSpec",

@@ -36,7 +36,7 @@ import numpy as np
 from .battery import run_battery
 from .config import ConfigError, ExperimentConfig, load_config
 from .engine import GridField, chernoff_solve
-from .oracle import fd_solve
+from .oracle import fd_solve  # noqa: F401  perfbench's tracer patches cli.fd_solve
 
 
 def _fmt(value: float) -> str:
@@ -85,27 +85,18 @@ def _comparison_points(config: ExperimentConfig) -> tuple[GridField, np.ndarray,
     margin = config.plan(config.steps[-1]).required_margin()
     mask = u0.interior_mask(margin).ravel()
     points = u0.meshpoints()
-    if config.oracle.kind == "crank_nicolson":
-        for axis, (lo, hi) in enumerate(config.oracle.bounds):
-            mask &= (points[:, axis] >= lo) & (points[:, axis] <= hi)
+    for axis, (lo, hi) in enumerate(config.oracle.bounds or ()):
+        mask &= (points[:, axis] >= lo) & (points[:, axis] <= hi)
     if not mask.any():
         raise ConfigError("oracle.bounds: no engine interior points fall inside the oracle domain")
     return u0, mask, points[mask]
-
-
-def _oracle_values(config: ExperimentConfig, points: np.ndarray) -> np.ndarray:
-    spec = config.oracle
-    if spec.kind == "exact_constant":
-        return config.exact_solution(points[:, 0])
-    u0 = GridField.from_function(spec.bounds, spec.points_per_axis, config.initial.function(config.dim))
-    return fd_solve(config.oracle_problem(), u0).sample(points)
 
 
 def _cmd_converge(config: ExperimentConfig, out) -> None:
     if config.oracle is None:
         raise ConfigError("oracle: converge needs an oracle spec to measure errors against")
     u0, mask, points = _comparison_points(config)
-    reference = _oracle_values(config, points)
+    reference = config.oracle.values(config.initial.function(config.dim), points)
     metadata = _common_metadata(config, "converge")
     metadata.insert(2, ("t", _fmt(config.t_final)))
     metadata.append(("oracle", config.oracle.kind))

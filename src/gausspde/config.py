@@ -8,12 +8,14 @@ Parsing builds the library's own objects, and each value rule and default
 belongs to the type that owns it: the initial GridField (section grid),
 Coefficients (coefficients), TraceClassOperator and OperatorL (eigenvalues),
 QuadratureSpec (quadrature), a ChernoffPlan per steps entry (t_final, steps,
-interpolation), and the oracle's FDProblem or closed form (oracle).  Their
-ValueError is raised as a ConfigError naming the section, and optional keys
-left out take the owning type's default.  This module adds only structural
-rules (types, unknown and missing keys, list shapes, lo < hi per axis, 1 to 4
-grid axes, strictly increasing steps) and the exact_constant oracle's
-cross-field rules.
+interpolation), and the oracle itself, an FDProblem or an ExactConstant
+(oracle), built last on the validated rest; an FDProblem also checks the
+initial function on its own grid by fd_solve's edge rule.  Their ValueError
+is raised as a ConfigError naming the section, and optional keys left out
+take the owning type's default.  This module adds only structural rules
+(types, unknown and missing keys, list shapes, lo < hi per axis, 1 to 4 grid
+axes, strictly increasing steps) and the exact_constant oracle's cross-field
+rules.
 
 Top-level keys::
 
@@ -29,9 +31,9 @@ Top-level keys::
     quadrature     {"backend": "gauss_hermite"|"monte_carlo", "nodes_per_dim"?,
                     "samples"?, "rng_seed"?}
     interpolation  "cubic"|"linear", optional
-    oracle         optional; {"kind": "exact_constant"} or
+    oracle         optional; {"kind": "exact_constant"} (an ExactConstant) or
                    {"kind": "crank_nicolson", "bounds": ..., "points_per_axis": ...,
-                    "time_steps": ..., "boundary"?}
+                    "time_steps": ..., "boundary"?} (an FDProblem)
     output         optional default output path (the --out flag overrides it)
 
 Coefficient registry: {"kind": "constant", "value": v}, {"kind":
@@ -47,14 +49,14 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Union
 
 import numpy as np
 
 from .cylinder import Coefficients, CylFunction, OperatorL
 from .engine import ChernoffPlan, GridField
 from .gauss import QuadratureSpec, TraceClassOperator
-from .oracle import FDProblem, exact_constant_solution
+from .oracle import ExactConstant, FDProblem
 
 
 class ConfigError(ValueError):
@@ -240,15 +242,6 @@ def _build_initial(raw, dim: int, path: str) -> InitialCondition:
 # ------------------------------------------------------------------ sections
 
 
-@dataclass(frozen=True)
-class OracleSpec:
-    kind: str
-    bounds: Optional[tuple[tuple[float, float], ...]] = None
-    points_per_axis: Optional[int] = None
-    time_steps: Optional[int] = None
-    boundary: str = FDProblem.boundary
-
-
 def _parse_bounds(raw, path: str) -> tuple[tuple[float, float], ...]:
     if not isinstance(raw, list) or not raw:
         raise ConfigError(f"{path}: expected a nonempty list of [lo, hi] pairs")
@@ -284,24 +277,6 @@ def _parse_quadrature(raw, path: str) -> QuadratureSpec:
     return _build(path, QuadratureSpec, backend=backend, **opts)
 
 
-def _parse_oracle(raw, path: str) -> Optional[OracleSpec]:
-    if raw is None:
-        return None
-    sec = _mapping(raw, path)
-    kind = _as_str(_pop(sec, "kind", path), _sub(path, "kind"))
-    if kind == "exact_constant":
-        _no_extras(sec, path)
-        return OracleSpec(kind=kind)
-    if kind == "crank_nicolson":
-        bounds = _parse_bounds(_pop(sec, "bounds", path), _sub(path, "bounds"))
-        points = _as_int(_pop(sec, "points_per_axis", path), _sub(path, "points_per_axis"))
-        time_steps = _as_int(_pop(sec, "time_steps", path), _sub(path, "time_steps"))
-        opts = _present(sec, path, boundary=_as_str)
-        _no_extras(sec, path)
-        return OracleSpec(kind=kind, bounds=bounds, points_per_axis=points, time_steps=time_steps, **opts)
-    raise ConfigError(f"{_sub(path, 'kind')}: unknown oracle kind {kind!r}")
-
-
 def _parse_steps(raw, path: str) -> tuple[int, ...]:
     if not isinstance(raw, list) or not raw:
         raise ConfigError(f"{path}: expected a nonempty list of step counts")
@@ -327,7 +302,7 @@ class ExperimentConfig:
     grid: GridField
     quadrature: QuadratureSpec
     interpolation: str = ChernoffPlan.interpolation
-    oracle: Optional[OracleSpec] = None
+    oracle: Optional[Union[ExactConstant, FDProblem]] = None
     output: Optional[str] = None
 
     @property
@@ -350,35 +325,43 @@ class ExperimentConfig:
             interpolation=self.interpolation,
         )
 
-    def oracle_problem(self) -> FDProblem:
-        """The finite-difference problem of a crank_nicolson oracle."""
-        spec = self.oracle
-        return FDProblem(
-            dim=self.dim,
-            coeffs=self.coefficients,
-            A=TraceClassOperator(self.eigenvalues),
-            bounds=spec.bounds,
-            points_per_axis=spec.points_per_axis,
-            t_final=self.t_final,
-            time_steps=spec.time_steps,
-            boundary=spec.boundary,
-        )
-
-    def exact_solution(self, x) -> np.ndarray:
-        """The exact_constant oracle's closed form at t_final on 1D points x."""
-        co = self.coefficients
-        return exact_constant_solution(
-            co.g.constant_value,
-            self.eigenvalues[0],
-            co.C.constant_value,
-            self.initial.wavenumber,
-            self.t_final,
-            x,
-        )
-
     def with_seed(self, seed: int) -> "ExperimentConfig":
         quad = _build("seed", dataclasses.replace, self.quadrature, rng_seed=seed)
         return dataclasses.replace(self, quadrature=quad)
+
+
+def _parse_oracle(raw, path: str, config: ExperimentConfig) -> Optional[Union[ExactConstant, FDProblem]]:
+    """The oracle section as the oracle it names, built last on the rest of the validated config."""
+    if raw is None:
+        return None
+    sec = _mapping(raw, path)
+    kind = _as_str(_pop(sec, "kind", path), _sub(path, "kind"))
+    co, dim = config.coefficients, config.dim
+    if kind == "exact_constant":
+        _no_extras(sec, path)
+        if dim != 1:
+            raise ConfigError("oracle.kind: exact_constant needs a single-axis grid")
+        if not (co.g.is_constant and co.C.is_constant and co.drift_is_zero):
+            raise ConfigError(
+                "coefficients: exact_constant oracle requires constant g, constant C, and no drift"
+            )
+        if config.initial.kind != "cosine":
+            raise ConfigError("initial.kind: exact_constant oracle requires a cosine initial condition")
+        closed_form = (co.g.constant_value, config.eigenvalues[0], co.C.constant_value, config.initial.wavenumber)
+        return _build("coefficients.C", ExactConstant, *closed_form, config.t_final)
+    if kind == "crank_nicolson":
+        bounds = _parse_bounds(_pop(sec, "bounds", path), _sub(path, "bounds"))
+        points = _as_int(_pop(sec, "points_per_axis", path), _sub(path, "points_per_axis"))
+        time_steps = _as_int(_pop(sec, "time_steps", path), _sub(path, "time_steps"))
+        opts = _present(sec, path, boundary=_as_str)
+        _no_extras(sec, path)
+        problem = _build(
+            path, FDProblem, dim=dim, coeffs=co, A=TraceClassOperator(config.eigenvalues), bounds=bounds,
+            points_per_axis=points, t_final=config.t_final, time_steps=time_steps, **opts,
+        )
+        _build(path, problem.initial_field, config.initial.function(dim))
+        return problem
+    raise ConfigError(f"{_sub(path, 'kind')}: unknown oracle kind {kind!r}")
 
 
 def parse_config(data: Any) -> ExperimentConfig:
@@ -393,7 +376,7 @@ def parse_config(data: Any) -> ExperimentConfig:
     t_final = _as_float(_pop(root, "t_final", ""), "t_final")
     steps = _parse_steps(_pop(root, "steps", ""), "steps")
     quadrature = _parse_quadrature(_pop(root, "quadrature", ""), "quadrature")
-    oracle = _parse_oracle(_pop(root, "oracle", "", default=None), "oracle")
+    oracle_raw = _pop(root, "oracle", "", default=None)
     output_raw = _pop(root, "output", "", default=None)
     output = None if output_raw is None else _as_str(output_raw, "output")
     opts = _present(root, "", interpolation=_as_str)
@@ -408,27 +391,13 @@ def parse_config(data: Any) -> ExperimentConfig:
         steps=steps,
         grid=_build("grid", GridField.from_function, fn=initial.function(dim), **grid_args),
         quadrature=quadrature,
-        oracle=oracle,
         output=output,
         **opts,
     )
     _build("eigenvalues", config.operator)
     for n in steps:
         _build("config", config.plan, n)
-    if oracle is not None and oracle.kind == "crank_nicolson":
-        _build("oracle", config.oracle_problem)
-    if oracle is not None and oracle.kind == "exact_constant":
-        if dim != 1:
-            raise ConfigError("oracle.kind: exact_constant needs a single-axis grid")
-        ok = coefficients.g.is_constant and coefficients.C.is_constant and coefficients.drift_is_zero
-        if not ok:
-            raise ConfigError(
-                "coefficients: exact_constant oracle requires constant g, constant C, and no drift"
-            )
-        if initial.kind != "cosine":
-            raise ConfigError("initial.kind: exact_constant oracle requires a cosine initial condition")
-        _build("coefficients.C", config.exact_solution, np.empty(0))
-    return config
+    return dataclasses.replace(config, oracle=_parse_oracle(oracle_raw, "oracle", config))
 
 
 def load_config(path) -> ExperimentConfig:

@@ -27,8 +27,10 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
+import scipy.ndimage as ndi
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
@@ -38,6 +40,7 @@ from .gauss import TraceClassOperator
 
 __all__ = [
     "AssembledOperator",
+    "ExactConstant",
     "FDProblem",
     "assemble_operator",
     "exact_constant_solution",
@@ -64,9 +67,32 @@ def exact_constant_solution(gamma: float, a: float, c: float, k: float, t: float
     return math.exp((c - gamma * a * k * k) * t) * np.cos(k * np.asarray(x, dtype=float))
 
 
+@dataclass(frozen=True)
+class ExactConstant:
+    """The closed-form oracle: exact_constant_solution with its parameters fixed."""
+
+    kind: ClassVar[str] = "exact_constant"
+    bounds: ClassVar[None] = None  # the closed form holds on the whole line
+
+    gamma: float
+    a: float
+    c: float
+    k: float
+    t: float
+
+    def __post_init__(self):
+        exact_constant_solution(self.gamma, self.a, self.c, self.k, self.t, ())
+
+    def values(self, initial_fn, points) -> np.ndarray:
+        """The solution at t on (m, 1) points; k already fixes the initial cos(k x)."""
+        return exact_constant_solution(self.gamma, self.a, self.c, self.k, self.t, np.asarray(points)[:, 0])
+
+
 @dataclass(frozen=True, eq=False)
 class FDProblem:
     """Grid, coefficients and Crank-Nicolson time steps for one reference finite-difference run."""
+
+    kind: ClassVar[str] = "crank_nicolson"
 
     dim: int
     coeffs: Coefficients
@@ -110,6 +136,26 @@ class FDProblem:
 
     def closed_axes(self) -> tuple:
         return tuple(np.linspace(lo, hi, self.points_per_axis) for lo, hi in self.bounds)
+
+    def initial_field(self, fn) -> GridField:
+        """fn on the closed grid; ValueError unless its edges fit the boundary, as fd_solve requires."""
+        u0 = GridField.from_function(self.bounds, self.points_per_axis, fn)
+        _extract(self, u0)
+        return u0
+
+    def values(self, initial_fn, points) -> np.ndarray:
+        """The solution at t_final from u0 = initial_fn, at (m, dim) points inside the box.
+
+        A Dirichlet solution is sampled by GridField.sample.  A periodic one is
+        sampled by a cubic spline on the unknowns that wraps around the box, so
+        the points near an edge see the other side instead of a clamped extension.
+        """
+        u = fd_solve(self, self.initial_field(initial_fn))
+        if self.boundary == "dirichlet":
+            return u.sample(points)
+        points = np.asarray(points, dtype=float)
+        coords = [(points[:, i] - lo) / dx for i, ((lo, _), dx) in enumerate(zip(self.bounds, self.spacings))]
+        return ndi.map_coordinates(u.values[(slice(0, -1),) * self.dim], coords, order=3, mode="grid-wrap")
 
 
 @dataclass(frozen=True, eq=False)

@@ -187,12 +187,48 @@ def test_converge_requires_an_oracle(tmp_path, capsys):
 
 def test_converge_exits_2_when_the_oracle_box_misses_the_interior(tmp_path, capsys):
     data = json.loads((CONFIG_DIR / "converge_variable_g.json").read_text())
-    data["oracle"]["bounds"] = [[-8.4, -8.0]]  # inside the grid, but within the padding
+    # inside the grid, but within the padding; symmetric about -2 pi, so cos x fits the periodic box
+    data["oracle"]["bounds"] = [[-7.0, 7.0 - 4.0 * math.pi]]
     path = write_config(tmp_path, data)
     assert main(["converge", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: oracle.bounds") and "no engine interior points" in err
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
+def test_initial_field_off_the_oracle_boundary_exits_2_before_solving(tmp_path, capsys, boundary):
+    data = json.loads((CONFIG_DIR / "converge_variable_g.json").read_text())
+    data["initial"] = {"kind": "gaussian_bump", "center": [1.0]}
+    data["oracle"]["boundary"] = boundary
+    path = write_config(tmp_path, data)
+    assert main(["converge", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: oracle: ")
+    assert ("wrapped endpoints" if boundary == "periodic" else "boundary_value") in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_converge_against_crank_nicolson_equals_direct_runs(tmp_path):
+    data = json.loads((CONFIG_DIR / "converge_variable_g.json").read_text())
+    data["grid"]["points_per_axis"] = 256
+    data["steps"] = [4, 8]
+    data["oracle"].update(points_per_axis=256, time_steps=100)
+    path = write_config(tmp_path, data)
+    out = tmp_path / "errors.csv"
+    assert main(["converge", "--config", str(path), "--out", str(out)]) == 0
+    metadata, _, rows = read_csv(out)
+    assert metadata["oracle"] == "crank_nicolson"
+    assert [r[0] for r in rows] == ["4", "8"]
+
+    config = load_config(path)
+    u0 = config.initial_field()
+    mask = u0.interior_mask(config.plan(8).required_margin()).ravel() & (np.abs(u0.axes[0]) <= math.pi)
+    points = u0.meshpoints()[mask]
+    reference = config.oracle.values(config.initial.function(1), points)
+    for n, row in zip((4, 8), rows):
+        direct = float(np.max(np.abs(chernoff_solve(config.plan(n), u0).field.values.ravel()[mask] - reference)))
+        assert float(row[1]) == pytest.approx(direct, abs=1e-15)
 
 
 def test_missing_output_exits_2_naming_the_key(tmp_path, capsys, monkeypatch):

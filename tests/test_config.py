@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 from gausspde.config import ConfigError, load_config, parse_config
 from gausspde.engine import ChernoffPlan, GridField
 from gausspde.gauss import QuadratureSpec
-from gausspde.oracle import FDProblem
+from gausspde.oracle import ExactConstant, FDProblem
 
 
 def base_dict():
@@ -304,19 +304,24 @@ def test_grid_is_the_initial_field_with_the_library_defaults():
     assert parse_config(variant(oracle=cn_oracle())).oracle.boundary == FDProblem.boundary
 
 
-def test_oracle_problem_carries_the_oracle_section():
-    cfg = parse_config(variant(oracle=cn_oracle(boundary="dirichlet")))
-    problem = cfg.oracle_problem()
-    assert isinstance(problem, FDProblem)
+def test_crank_nicolson_oracle_is_the_fd_problem_of_its_section():
+    # cos(x / 2) is 0 at +-pi, so it fits the Dirichlet box
+    data = variant(oracle=cn_oracle(boundary="dirichlet"), initial={"kind": "cosine", "wavenumber": 0.5})
+    cfg = parse_config(data)
+    problem = cfg.oracle
+    assert isinstance(problem, FDProblem) and problem.kind == "crank_nicolson"
     assert problem.bounds == ((-math.pi, math.pi),)
     assert (problem.points_per_axis, problem.time_steps, problem.boundary) == (256, 100, "dirichlet")
     assert problem.t_final == cfg.t_final and problem.coeffs is cfg.coefficients
 
 
-def test_exact_solution_is_the_closed_form():
+def test_exact_constant_oracle_is_the_closed_form():
     cfg = parse_config(base_dict())
+    assert isinstance(cfg.oracle, ExactConstant) and cfg.oracle.kind == "exact_constant"
+    assert cfg.oracle.bounds is None
     x = np.linspace(-1.0, 1.0, 5)
-    assert_allclose(cfg.exact_solution(x), math.exp(-1.5) * np.cos(x), rtol=1e-15)
+    values = cfg.oracle.values(cfg.initial.function(1), x[:, None])
+    assert_allclose(values, math.exp(-1.5) * np.cos(x), rtol=1e-15)
 
 
 def test_grid_and_scalar_validation():
