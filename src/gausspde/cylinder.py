@@ -6,18 +6,17 @@ on the n-dimensional cylinder subspace, with diagonal trace-class A = diag(q).
 
 Evaluators are vectorized: eval maps an (m, n) array of points to an (m,)
 array, grad to (m, n), hess to (m, n, n).  Missing derivatives fall back to
-central finite differences with step fd_step.
+central finite differences with step _FD_STEP.
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .gauss import TraceClassOperator
+from .gauss import TraceClassOperator, is_integer
 
 __all__ = [
     "Coefficients",
@@ -28,6 +27,9 @@ __all__ = [
     "gradient",
     "trace_hessian",
 ]
+
+# central-difference step for derivatives that a CylFunction does not declare
+_FD_STEP = 1e-5
 
 
 def _as_points(x, dim: int) -> tuple[np.ndarray, bool]:
@@ -56,15 +58,12 @@ class CylFunction:
     eval: Callable[[np.ndarray], np.ndarray]
     grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
     hess: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    fd_step: float = 1e-5
     sup_bound: float = field(kw_only=True)
     constant_value: Optional[float] = field(default=None, kw_only=True)
 
     def __post_init__(self):
-        if not (isinstance(self.dim, numbers.Integral) and self.dim >= 1):
+        if not (is_integer(self.dim) and self.dim >= 1):
             raise ValueError("dim must be a positive integer")
-        if not (np.isfinite(self.fd_step) and self.fd_step > 0.0):
-            raise ValueError("fd_step must be positive")
         if not (np.isfinite(self.sup_bound) and self.sup_bound >= 0.0):
             raise ValueError("sup_bound must be a finite nonnegative real")
         if self.constant_value is not None and np.any(self(self._probe_points()) != self.constant_value):
@@ -108,7 +107,7 @@ class CylFunction:
     # -- finite differences ------------------------------------------------
 
     def _fd_gradient(self, x: np.ndarray) -> np.ndarray:
-        h = self.fd_step
+        h = _FD_STEP
         out = np.empty_like(x)
         for i in range(self.dim):
             step = np.zeros(self.dim)
@@ -117,7 +116,7 @@ class CylFunction:
         return out
 
     def _fd_hess_diag(self, x: np.ndarray) -> np.ndarray:
-        h = self.fd_step
+        h = _FD_STEP
         center = self(x)
         out = np.empty_like(x)
         for i in range(self.dim):

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -38,7 +37,7 @@ import scipy.ndimage as ndi
 import scipy.sparse as sp
 
 from .cylinder import Coefficients, CylFunction, OperatorL, apply_L
-from .gauss import GH_MAX_DIM, IntegrandError, QuadratureSpec, gaussian_nodes
+from .gauss import GH_MAX_DIM, IntegrandError, QuadratureSpec, gaussian_nodes, is_integer
 
 __all__ = [
     "ChernoffPlan",
@@ -109,7 +108,7 @@ class GridField:
 
     @classmethod
     def from_function(cls, bounds, points_per_axis: int, fn, boundary_mode="clamp", boundary_value=0.0):
-        if not (isinstance(points_per_axis, numbers.Integral) and points_per_axis >= 2):
+        if not (is_integer(points_per_axis) and points_per_axis >= 2):
             raise ValueError(_POINTS_MESSAGE)
         bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
         vals = np.asarray(fn(_mesh(bounds, points_per_axis)), dtype=float).reshape([points_per_axis] * len(bounds))
@@ -141,6 +140,8 @@ class GridField:
 
     def interior_mask(self, margin: float) -> np.ndarray:
         """Boolean mask of grid points at least `margin` from every boundary."""
+        if not (math.isfinite(margin) and margin >= 0.0):
+            raise ValueError(f"margin must be finite and nonnegative, got {margin}")
         eps = 1e-9 * max(hi - lo for lo, hi in self.bounds)
         mask = np.ones(self.values.shape, dtype=bool)
         for i, (ax, (lo, hi)) in enumerate(zip(self.axes, self.bounds)):
@@ -197,7 +198,7 @@ class ChernoffPlan:
     def __post_init__(self):
         if not (math.isfinite(self.t_final) and self.t_final > 0.0):
             raise ValueError("t_final must be positive")
-        if not (isinstance(self.steps, numbers.Integral) and self.steps >= 1):
+        if not (is_integer(self.steps) and self.steps >= 1):
             raise ValueError("steps must be a positive integer")
         _spline_order(self.interpolation)
 
@@ -426,7 +427,7 @@ def chernoff_solve(plan: ChernoffPlan, u0: GridField, checkpoint_steps: Sequence
     """Iterate S_{t/n} n times; records sup-norms per step and optional snapshots."""
     step_S = _Step(plan.op, plan.tau, u0, plan.quad, plan.interpolation)
     for k in checkpoint_steps:
-        if not (isinstance(k, numbers.Integral) and 1 <= k <= plan.steps):
+        if not (is_integer(k) and 1 <= k <= plan.steps):
             raise ValueError(f"checkpoint step {k} outside 1..{plan.steps}")
     margin = plan.required_margin()
     mask = u0.interior_mask(margin)
@@ -464,13 +465,11 @@ def tangency_residual(op: OperatorL, phi: CylFunction, tau: float, grid, quad: Q
     return float(np.max(np.abs((s_vals - phi(pts)) / tau - l_vals)))
 
 
-def norm_bound_check(
-    op: OperatorL, tau: float, u: GridField, quad: QuadratureSpec, interpolation: str = "cubic"
-) -> tuple[float, float]:
+def norm_bound_check(op: OperatorL, tau: float, u: GridField, quad: QuadratureSpec) -> tuple[float, float]:
     """(||S_tau u|| / ||u||, exp((2 ||A|| B0^2 / g0 + ||C||) tau)) in sup-norm."""
     if u.sup_norm == 0.0:
         raise ValueError("norm bound check requires a nonzero input field")
-    out = apply_S(op, tau, u, quad, interpolation)
+    out = apply_S(op, tau, u, quad)
     co = op.coeffs
     growth = 2.0 * op.A.operator_norm * co.drift_norm**2 / co.g_floor + co.c_norm
     return out.sup_norm / u.sup_norm, math.exp(growth * tau)

@@ -70,6 +70,11 @@ class IntegrandError(ValueError):
     """An integrand produced a non-finite value at a quadrature node or sample."""
 
 
+def is_integer(value) -> bool:
+    """True for an integral number other than a bool, which numbers.Integral admits."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _frozen_array(x, name: str) -> np.ndarray:
     a = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(a)):
@@ -160,9 +165,9 @@ class QuadratureSpec:
             raise ValueError(f"backend must be one of {_BACKENDS}, got {self.backend!r}")
         for name in ("nodes_per_dim", "samples"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= 1):
+            if not (is_integer(value) and value >= 1):
                 raise ValueError(f"{name} must be a positive integer")
-        if not (isinstance(self.rng_seed, numbers.Integral) and 0 <= self.rng_seed < 2**64):
+        if not (is_integer(self.rng_seed) and 0 <= self.rng_seed < 2**64):
             raise ValueError("rng_seed must be an integer that fits in 64 bits")
 
 

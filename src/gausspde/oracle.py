@@ -20,12 +20,15 @@ A + A^T; SuperLU's default, COLAMD on A^T A, doubles the LU fill in 2D.
 
 The resolvent solver inverts  lambda f - L f = rhs  (1D) by the same assembly
 and checks the discrete residual before returning.
+
+FDProblem.values samples a solution by one cubic spline wrapped around a
+period (on a Dirichlet box, u - boundary_value continued oddly across each
+edge), not by the engine's evaluator, so the check stays independent.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -36,7 +39,7 @@ from scipy.sparse.linalg import splu
 
 from .cylinder import Coefficients, CylFunction
 from .engine import GridField
-from .gauss import TraceClassOperator
+from .gauss import TraceClassOperator, is_integer
 
 __all__ = [
     "AssembledOperator",
@@ -113,11 +116,11 @@ class FDProblem:
         bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
         if len(bounds) != self.dim or any(not lo < hi for lo, hi in bounds):
             raise ValueError("bounds must be dim intervals with lo < hi")
-        if not (isinstance(self.points_per_axis, numbers.Integral) and self.points_per_axis >= 8):
+        if not (is_integer(self.points_per_axis) and self.points_per_axis >= 8):
             raise ValueError("points_per_axis must be at least 8")
         if not (math.isfinite(self.t_final) and self.t_final > 0.0):
             raise ValueError("t_final must be positive")
-        if not (isinstance(self.time_steps, numbers.Integral) and self.time_steps >= 1):
+        if not (is_integer(self.time_steps) and self.time_steps >= 1):
             raise ValueError("time_steps must be a positive integer")
         if self.boundary not in _BOUNDARIES:
             raise ValueError(f"boundary must be one of {_BOUNDARIES}")
@@ -126,16 +129,8 @@ class FDProblem:
         object.__setattr__(self, "bounds", bounds)
 
     @property
-    def spacings(self) -> tuple:
-        """Grid spacing of each axis."""
-        return tuple((hi - lo) / (self.points_per_axis - 1) for lo, hi in self.bounds)
-
-    @property
     def dt(self) -> float:
         return self.t_final / self.time_steps
-
-    def closed_axes(self) -> tuple:
-        return tuple(np.linspace(lo, hi, self.points_per_axis) for lo, hi in self.bounds)
 
     def initial_field(self, fn) -> GridField:
         """fn on the closed grid; ValueError unless its edges fit the boundary, as fd_solve requires."""
@@ -146,16 +141,20 @@ class FDProblem:
     def values(self, initial_fn, points) -> np.ndarray:
         """The solution at t_final from u0 = initial_fn, at (m, dim) points inside the box.
 
-        A Dirichlet solution is sampled by GridField.sample.  A periodic one is
-        sampled by a cubic spline on the unknowns that wraps around the box, so
-        the points near an edge see the other side instead of a clamped extension.
+        One cubic spline that wraps around a period samples both boundaries.  A
+        periodic period is the unknowns; on a Dirichlet box u - boundary_value is
+        continued oddly across each edge, so a period is 2(N - 1) cells.
         """
         u = fd_solve(self, self.initial_field(initial_fn))
+        shift = self.boundary_value if self.boundary == "dirichlet" else 0.0
+        period = _extract(self, u) - shift
         if self.boundary == "dirichlet":
-            return u.sample(points)
+            for axis in range(self.dim):
+                inner = np.flip(period, axis).take(range(1, self.points_per_axis - 1), axis)
+                period = np.concatenate([period, -inner], axis)
         points = np.asarray(points, dtype=float)
-        coords = [(points[:, i] - lo) / dx for i, ((lo, _), dx) in enumerate(zip(self.bounds, self.spacings))]
-        return ndi.map_coordinates(u.values[(slice(0, -1),) * self.dim], coords, order=3, mode="grid-wrap")
+        coords = [(points[:, i] - lo) / dx for i, ((lo, _), dx) in enumerate(zip(u.bounds, u.spacings))]
+        return ndi.map_coordinates(period, coords, order=3, mode="grid-wrap") + shift
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,11 +185,13 @@ def _on_axis(d: sp.csr_matrix, i: int, nu: int, dim: int) -> sp.csr_matrix:
 def assemble_operator(p: FDProblem) -> AssembledOperator:
     """L as the sum over axes of I (x) D_i (x) I, with g, B and C as diagonal factors."""
     wrap = p.boundary == "periodic"
-    axes = [ax[:-1] if wrap else ax for ax in p.closed_axes()]
-    nu = axes[0].size
+    n = p.points_per_axis
+    nu = n - 1 if wrap else n
+    axes = [np.linspace(lo, hi, n)[:nu] for lo, hi in p.bounds]
     pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
     q = p.A.block(p.dim)
-    stencils = [[_on_axis(d, i, nu, p.dim) for d in _axis_stencils(nu, dx, wrap)] for i, dx in enumerate(p.spacings)]
+    spacings = [(hi - lo) / (n - 1) for lo, hi in p.bounds]
+    stencils = [[_on_axis(d, i, nu, p.dim) for d in _axis_stencils(nu, dx, wrap)] for i, dx in enumerate(spacings)]
 
     co = p.coeffs
     m = sp.diags(co.g_at(pts)) @ sum(qi * d2 for qi, (d2, _) in zip(q, stencils))
@@ -231,7 +232,7 @@ def _extract(p: FDProblem, u0: GridField) -> np.ndarray:
         if periodic:
             raise ValueError("periodic problem requires matching values at the wrapped endpoints")
         raise ValueError("dirichlet problem requires the initial field to equal boundary_value on the boundary")
-    return vals[(slice(0, -1),) * p.dim].ravel() if periodic else vals.ravel()
+    return vals[(slice(0, -1),) * p.dim] if periodic else vals
 
 
 def _wrap_back(p: FDProblem, asm: AssembledOperator, vec: np.ndarray) -> np.ndarray:
@@ -259,7 +260,7 @@ def fd_solve(p: FDProblem, u0: GridField) -> GridField:
     """
     _check_geometry(p, u0)
     asm = assemble_operator(p)
-    u = _extract(p, u0)
+    u = _extract(p, u0).ravel()
     m = asm.matrix
     dt = p.dt
 

@@ -290,7 +290,7 @@ def test_criterion_08_dissipativity_and_resolvent():
     for f in smooth_suite():
         for lam in (0.5, 1.0, 2.0):
             solution = resolvent_solve(problem, lam, f)
-            rhs_sup = float(np.max(np.abs(f(problem.closed_axes()[0][:, None]))))
+            rhs_sup = float(np.max(np.abs(f(solution.axes[0][:, None]))))
             resolvent_worst = max(resolvent_worst, solution.sup_norm - rhs_sup / lam)
     ok = witness_worst <= 1e-6 and resolvent_worst <= 1e-8
     report(

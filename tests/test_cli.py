@@ -209,11 +209,14 @@ def test_initial_field_off_the_oracle_boundary_exits_2_before_solving(tmp_path, 
     assert not (tmp_path / "x.csv").exists()
 
 
-def test_converge_against_crank_nicolson_equals_direct_runs(tmp_path):
+@pytest.mark.parametrize("boundary, wavenumber", [("periodic", 1.0), ("dirichlet", 0.5)], ids=["periodic", "dirichlet"])
+def test_converge_against_crank_nicolson_equals_direct_runs(tmp_path, boundary, wavenumber):
+    # cos(x/2) vanishes at the Dirichlet box's edges -pi and pi, so it fits boundary_value 0
     data = json.loads((CONFIG_DIR / "converge_variable_g.json").read_text())
     data["grid"]["points_per_axis"] = 256
     data["steps"] = [4, 8]
-    data["oracle"].update(points_per_axis=256, time_steps=100)
+    data["initial"]["wavenumber"] = wavenumber
+    data["oracle"].update(points_per_axis=256, time_steps=100, boundary=boundary)
     path = write_config(tmp_path, data)
     out = tmp_path / "errors.csv"
     assert main(["converge", "--config", str(path), "--out", str(out)]) == 0

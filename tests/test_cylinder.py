@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gausspde.cylinder import (
+    _FD_STEP,
     Coefficients,
     CylFunction,
     OperatorL,
@@ -58,14 +59,13 @@ def test_cylfunction_validation():
     with pytest.raises(ValueError):
         CylFunction(dim=0, eval=lambda x: x[:, 0], sup_bound=1.0)
     with pytest.raises(ValueError):
-        CylFunction(dim=1, eval=lambda x: x[:, 0], sup_bound=1.0, fd_step=0.0)
-    with pytest.raises(ValueError):
         CylFunction(dim=1, eval=lambda x: x[:, 0], sup_bound=-1.0)
 
 
 def test_cylfunction_dim_must_be_an_integer():
-    with pytest.raises(ValueError, match="dim must be a positive integer"):
-        CylFunction(dim=1.5, eval=lambda x: x[:, 0], sup_bound=1.0)
+    for bad in (1.5, True):
+        with pytest.raises(ValueError, match="dim must be a positive integer"):
+            CylFunction(dim=bad, eval=lambda x: x[:, 0], sup_bound=1.0)
     assert CylFunction(dim=np.int64(2), eval=lambda x: x[:, 0], sup_bound=1.0).dim == 2
 
 
@@ -112,12 +112,12 @@ def test_gradient_examples():
 
 def test_gradient_matches_finite_differences():
     f = f_sincos()
-    fd = CylFunction(dim=2, eval=f.eval, sup_bound=1.0, fd_step=1e-5)
+    fd = CylFunction(dim=2, eval=f.eval, sup_bound=1.0)
     rng = np.random.default_rng(0)
     pts = rng.uniform(-2, 2, (20, 2))
     for x in pts:
         err = np.max(np.abs(gradient(f, x) - gradient(fd, x)))
-        assert err <= 10 * fd.fd_step**2
+        assert err <= 10 * _FD_STEP**2
 
 
 def test_gradient_batch_shape():

@@ -75,7 +75,7 @@ def test_gridfield_rejects_a_non_finite_boundary_value(mode, value):
         GridField(bounds=((-1.0, 1.0),), values=np.zeros(8), boundary_mode=mode, boundary_value=value)
 
 
-@pytest.mark.parametrize("points", [64.0, 2.5])
+@pytest.mark.parametrize("points", [64.0, 2.5, True])
 def test_from_function_requires_an_integer_point_count(points):
     with pytest.raises(ValueError, match="points_per_axis must be"):
         GridField.from_function([(-1.0, 1.0)], points, lambda x: np.ones(x.shape[0]))
@@ -117,6 +117,9 @@ def test_gridfield_interior_mask():
     f = field_1d(lambda x: np.zeros(x.shape[0]), half=2.0, pts=5)  # nodes at -2,-1,0,1,2
     mask = f.interior_mask(0.5)
     assert mask.tolist() == [False, True, True, True, False]
+    for bad in (-5.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="margin must be finite and nonnegative"):
+            f.interior_mask(bad)
 
 
 # ---------------------------------------------------------------- apply_S
@@ -501,11 +504,12 @@ def test_chernoff_mc_reproducible():
 def test_step_counts_must_be_integers():
     op = const_op(g=1.0, c=0.0, q=(0.5,))
     u0 = field_1d(lambda x: np.cos(x[:, 0]), pts=128)
-    with pytest.raises(ValueError, match="steps must be a positive integer"):
-        ChernoffPlan(t_final=0.4, steps=2.5, quad=GH, op=op)
     plan = ChernoffPlan(t_final=0.4, steps=np.int64(4), quad=GH, op=op)
-    with pytest.raises(ValueError, match=r"checkpoint step 2\.5 outside 1\.\.4"):
-        chernoff_solve(plan, u0, checkpoint_steps=(2.5,))
+    for bad in (2.5, True):
+        with pytest.raises(ValueError, match="steps must be a positive integer"):
+            ChernoffPlan(t_final=0.4, steps=bad, quad=GH, op=op)
+        with pytest.raises(ValueError, match=rf"checkpoint step {bad} outside 1\.\.4"):
+            chernoff_solve(plan, u0, checkpoint_steps=(bad,))
     res = chernoff_solve(plan, u0, checkpoint_steps=(np.int32(2), 4))
     assert sorted(res.checkpoints) == [2, 4]
 

@@ -89,7 +89,11 @@ def test_quadrature_spec_validation():
     assert (spec.nodes_per_dim, spec.samples, spec.rng_seed) == (4, 10, 7)
 
 
-@pytest.mark.parametrize("field,value", [("nodes_per_dim", 32.0), ("samples", 1000.0), ("rng_seed", 1.5)])
+@pytest.mark.parametrize(
+    "field,value",
+    [("nodes_per_dim", 32.0), ("samples", 1000.0), ("rng_seed", 1.5)]
+    + [(field, True) for field in ("nodes_per_dim", "samples", "rng_seed")],
+)
 def test_quadrature_spec_rejects_non_integers(field, value):
     with pytest.raises(ValueError, match=field):
         QuadratureSpec(backend="monte_carlo", **{field: value})
