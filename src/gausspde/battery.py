@@ -134,23 +134,22 @@ def smooth_suite() -> list[CylFunction]:
     ]
 
 
-def _variable_diffusion_op(c_value: float = -0.3) -> OperatorL:
-    co = Coefficients(
-        g=CylFunction(dim=1, eval=lambda x: 1.0 + 0.5 * np.sin(x[:, 0]), sup_bound=1.5),
-        B=None,
-        C=CylFunction.constant(c_value, 1),
-        g_floor=0.5,
-        contractive=True,
-    )
-    return OperatorL(coeffs=co, A=TraceClassOperator([0.5]))
+# the Gauss-Hermite rule of the gaussian_identities and scale_identity rows
+_GH32 = QuadratureSpec(backend="gauss_hermite", nodes_per_dim=32)
 
 
-def _constant_drift_op() -> OperatorL:
+def _operator(g: float, c: float, sine: float = 0.0, drift: float = 0.0) -> OperatorL:
+    """One-axis L with A = diag(0.5): diffusion g + sine * sin(x), constant C = c and drift B = drift."""
+    if sine:
+        g_fn = CylFunction(dim=1, eval=lambda x: g + sine * np.sin(x[:, 0]), sup_bound=g + sine)
+    else:
+        g_fn = CylFunction.constant(g, 1)
     co = Coefficients(
-        g=CylFunction.constant(1.3, 1),
-        B=(CylFunction.constant(0.8, 1),),
-        C=CylFunction.constant(-0.4, 1),
-        g_floor=1.3,
+        g=g_fn,
+        B=(CylFunction.constant(drift, 1),),
+        C=CylFunction.constant(c, 1),
+        g_floor=g - sine,
+        contractive=c <= 0.0,
     )
     return OperatorL(coeffs=co, A=TraceClassOperator([0.5]))
 
@@ -199,7 +198,6 @@ def _identity_cases():
 
 
 def _check_gaussian_identities(config: ExperimentConfig) -> CheckResult:
-    gh = QuadratureSpec(backend="gauss_hermite", nodes_per_dim=32)
     mc = QuadratureSpec(
         backend="monte_carlo",
         samples=config.quadrature.samples,
@@ -209,13 +207,12 @@ def _check_gaussian_identities(config: ExperimentConfig) -> CheckResult:
     estimates = mc_estimates([(f, spec) for f, spec, _ in cases], mc)
     worst = 0.0
     for (f, spec, exact), (mean, stderr) in zip(cases, estimates):
-        worst = max(worst, abs(integrate(f, spec, gh) - exact))
+        worst = max(worst, abs(integrate(f, spec, _GH32) - exact))
         worst = max(worst, max(0.0, abs(mean - exact) - 4.0 * stderr))
     return CheckResult("gaussian_identities", worst, 1e-9, worst <= 1e-9)
 
 
 def _check_scale_identity(config: ExperimentConfig) -> CheckResult:
-    gh = QuadratureSpec(backend="gauss_hermite", nodes_per_dim=32)
     A = TraceClassOperator([0.6, 0.3])
     family = [
         lambda y: np.ones(y.shape[0]),
@@ -226,20 +223,15 @@ def _check_scale_identity(config: ExperimentConfig) -> CheckResult:
         lambda y: y[:, 0] * y[:, 1],
     ]
     worst = max(
-        scale_identity_residual(f, t, A, gh) for f in family for t in (0.37, 2.0, 4.0)
+        scale_identity_residual(f, t, A, _GH32) for f in family for t in (0.37, 2.0, 4.0)
     )
     return CheckResult("scale_identity", worst, 1e-10, worst <= 1e-10)
 
 
 def _check_tangency_decrease(config: ExperimentConfig) -> CheckResult:
     suite = smooth_suite()
-    pairs = [
-        (_variable_diffusion_op(), suite[0]),
-        (_variable_diffusion_op(), suite[3]),
-        (_variable_diffusion_op(), suite[5]),
-        (_variable_diffusion_op(), suite[7]),
-        (_constant_drift_op(), suite[2]),
-    ]
+    variable = _operator(1.0, -0.3, sine=0.5)
+    pairs = [(variable, suite[i]) for i in (0, 3, 5, 7)] + [(_operator(1.3, -0.4, drift=0.8), suite[2])]
     grid = np.linspace(-3.0, 3.0, 61)[:, None]
     taus = (1e-1, 1e-2, 1e-3)
     worst_ratio = 0.0
@@ -251,13 +243,7 @@ def _check_tangency_decrease(config: ExperimentConfig) -> CheckResult:
 
 
 def _check_norm_bound(config: ExperimentConfig) -> CheckResult:
-    co = Coefficients(
-        g=CylFunction.constant(1.0, 1),
-        B=(CylFunction.constant(1.0, 1),),
-        C=CylFunction.constant(-1.0, 1),
-        g_floor=1.0,
-    )
-    op = OperatorL(coeffs=co, A=TraceClassOperator([0.5]))
+    op = _operator(1.0, -1.0, drift=1.0)
     tau = 0.2
     worst = -math.inf
     for i in range(20):
@@ -269,13 +255,13 @@ def _check_norm_bound(config: ExperimentConfig) -> CheckResult:
 
 
 def _check_contractivity(config: ExperimentConfig) -> CheckResult:
-    res = chernoff_solve(config.plan(config.steps[-1]), config.initial_field())
-    measured = float(np.max(res.interior_sup_norms)) - config.initial_field().sup_norm
+    res = chernoff_solve(config.plan(config.steps[-1]), config.grid)
+    measured = float(np.max(res.interior_sup_norms)) - config.grid.sup_norm
     return CheckResult("contractivity", measured, 1e-8, measured <= 1e-8)
 
 
 def _check_dissipativity(config: ExperimentConfig) -> CheckResult:
-    op = _variable_diffusion_op()
+    op = _operator(1.0, -0.3, sine=0.5)
     grid = np.linspace(-8.0, 8.0, 2001)[:, None]
     worst = -math.inf
     for f in smooth_suite():
@@ -290,14 +276,7 @@ def _check_constant_coefficient(config: ExperimentConfig) -> CheckResult:
     u0 = GridField.from_function(bounds, 512, lambda x: np.cos(x[:, 0]))
     worst = 0.0
     for c in (0.0, -1.0):
-        co = Coefficients(
-            g=CylFunction.constant(1.0, 1),
-            B=None,
-            C=CylFunction.constant(c, 1),
-            g_floor=1.0,
-            contractive=True,
-        )
-        op = OperatorL(coeffs=co, A=TraceClassOperator([0.5]))
+        op = _operator(1.0, c)
         plan = ChernoffPlan(t_final=1.0, steps=1, quad=config.quadrature, op=op)
         mask = u0.interior_mask(plan.required_margin())
         exact = exact_constant_solution(1.0, 0.5, c, 1.0, 1.0, u0.axes[0][mask])
@@ -309,24 +288,13 @@ def _check_constant_coefficient(config: ExperimentConfig) -> CheckResult:
 
 
 def _check_coefficient_continuity(config: ExperimentConfig) -> CheckResult:
-    def perturbed(delta: float) -> OperatorL:
-        co = Coefficients(
-            g=CylFunction(
-                dim=1,
-                eval=lambda x, d=delta: 1.0 + d + 0.5 * np.sin(x[:, 0]),
-                sup_bound=1.5 + delta,
-            ),
-            B=None,
-            C=CylFunction.constant(-0.2 - delta, 1),
-            g_floor=0.5 + delta,
-            contractive=True,
-        )
-        return OperatorL(coeffs=co, A=TraceClassOperator([0.5]))
-
-    base = _variable_diffusion_op(c_value=-0.2)
+    base = _operator(1.0, -0.2, sine=0.5)
     u0 = GridField.from_function(((-8.4, 8.4),), 512, lambda x: np.cos(x[:, 0]))
     plan = ChernoffPlan(t_final=0.5, steps=8, quad=config.quadrature, op=base)
-    gaps = [coefficient_continuity_probe(base, perturbed(d), plan, u0) for d in (1e-1, 1e-2, 1e-3)]
+    gaps = [
+        coefficient_continuity_probe(base, _operator(1.0 + d, -0.2 - d, sine=0.5), plan, u0)
+        for d in (1e-1, 1e-2, 1e-3)
+    ]
     decreasing = all(a > b for a, b in zip(gaps, gaps[1:]))
     measured = gaps[-1] if decreasing else math.inf
     return CheckResult("coefficient_continuity", measured, 1e-2, measured <= 1e-2)

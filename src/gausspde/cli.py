@@ -66,7 +66,7 @@ def _common_metadata(config: ExperimentConfig, command: str) -> list[tuple[str, 
 
 def _cmd_solve(config: ExperimentConfig, out) -> None:
     n = config.steps[-1]
-    u0 = config.initial_field()
+    u0 = config.grid
     result = chernoff_solve(config.plan(n), u0)
     metadata = _common_metadata(config, "solve")
     metadata.insert(2, ("t", _fmt(config.t_final)))
@@ -81,7 +81,7 @@ def _cmd_solve(config: ExperimentConfig, out) -> None:
 
 def _comparison_points(config: ExperimentConfig) -> tuple[GridField, np.ndarray, np.ndarray]:
     """Initial field, flat mask of comparable grid points, and those points."""
-    u0 = config.initial_field()
+    u0 = config.grid
     margin = config.plan(config.steps[-1]).required_margin()
     mask = u0.interior_mask(margin).ravel()
     points = u0.meshpoints()
@@ -96,7 +96,7 @@ def _cmd_converge(config: ExperimentConfig, out) -> None:
     if config.oracle is None:
         raise ConfigError("oracle: converge needs an oracle spec to measure errors against")
     u0, mask, points = _comparison_points(config)
-    reference = config.oracle.values(config.initial.function(config.dim), points)
+    reference = config.oracle.values(config.initial, points)
     metadata = _common_metadata(config, "converge")
     metadata.insert(2, ("t", _fmt(config.t_final)))
     metadata.append(("oracle", config.oracle.kind))

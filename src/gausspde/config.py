@@ -5,17 +5,18 @@ nesting level and every diagnostic names the offending field or section, so a
 typo fails fast instead of silently running a different experiment.
 
 Parsing builds the library's own objects, and each value rule and default
-belongs to the type that owns it: the initial GridField (section grid),
-Coefficients (coefficients), TraceClassOperator and OperatorL (eigenvalues),
-QuadratureSpec (quadrature), a ChernoffPlan per steps entry (t_final, steps,
-interpolation), and the oracle itself, an FDProblem or an ExactConstant
-(oracle), built last on the validated rest; an FDProblem also checks the
-initial function on its own grid by fd_solve's edge rule.  Their ValueError
-is raised as a ConfigError naming the section, and optional keys left out
-take the owning type's default.  This module adds only structural rules
-(types, unknown and missing keys, list shapes, lo < hi per axis, 1 to 4 grid
-axes, strictly increasing steps) and the exact_constant oracle's cross-field
-rules.
+belongs to the type that owns it: the initial section parses, in one branch
+per kind, into u0's evaluator (m, dim) -> (m,), which the initial GridField
+(section grid) samples; then Coefficients (coefficients), TraceClassOperator
+and OperatorL (eigenvalues), QuadratureSpec (quadrature), a ChernoffPlan per
+steps entry (t_final, steps, interpolation), and the oracle itself, an
+FDProblem or an ExactConstant (oracle), built last on the validated rest; an
+FDProblem also checks the initial function on its own grid by fd_solve's edge
+rule.  Their ValueError is raised as a ConfigError naming the section, and
+optional keys left out take the owning type's default.  This module adds only
+structural rules (types, unknown and missing keys, list shapes, lo < hi per
+axis, 1 to 4 grid axes, strictly increasing steps) and the exact_constant
+oracle's cross-field rules.
 
 Top-level keys::
 
@@ -192,50 +193,30 @@ def _build_coefficients(raw, dim: int, path: str) -> Coefficients:
     return _build(path, Coefficients, g=g_fn, B=drift, C=c_fn, **opts)
 
 
-@dataclass(frozen=True)
-class InitialCondition:
-    """Registry entry for u0: product cosine, gaussian bump, or constant."""
-
-    kind: str
-    wavenumber: float = 1.0
-    value: float = 1.0
-    width: float = 1.0
-    center: Optional[tuple[float, ...]] = None
-
-    def function(self, dim: int) -> Callable[[np.ndarray], np.ndarray]:
-        if self.kind == "cosine":
-            k = self.wavenumber
-            return lambda x: np.prod(np.cos(k * x), axis=1)
-        if self.kind == "gaussian_bump":
-            c = np.zeros(dim) if self.center is None else np.asarray(self.center, dtype=float)
-            w = self.width
-            return lambda x: np.exp(-np.sum((x - c) ** 2, axis=1) / (2.0 * w * w))
-        value = self.value
-        return lambda x: np.full(x.shape[0], value)
-
-
-def _build_initial(raw, dim: int, path: str) -> InitialCondition:
+def _build_initial(raw, dim: int, path: str) -> tuple[Callable[[np.ndarray], np.ndarray], Optional[float]]:
+    """u0 as an evaluator (m, dim) -> (m,), and its wavenumber if it is a cosine (else None)."""
     sec = _mapping(raw, path)
     kind = _as_str(_pop(sec, "kind", path), _sub(path, "kind"))
     if kind == "cosine":
-        opts = _present(sec, path, wavenumber=_as_float)
+        k = _as_float(_pop(sec, "wavenumber", path, default=1.0), _sub(path, "wavenumber"))
         _no_extras(sec, path)
-        return InitialCondition(kind=kind, **opts)
+        return (lambda x: np.prod(np.cos(k * x), axis=1)), k
     if kind == "gaussian_bump":
         center = _pop(sec, "center", path, default=None)
         if center is not None:
             center = _float_list(center, _sub(path, "center"))
             if len(center) != dim:
                 raise ConfigError(f"{_sub(path, 'center')}: expected {dim} coordinate(s)")
-        initial = InitialCondition(kind=kind, center=center, **_present(sec, path, width=_as_float))
+        w = _as_float(_pop(sec, "width", path, default=1.0), _sub(path, "width"))
         _no_extras(sec, path)
-        if initial.width <= 0.0:
+        if w <= 0.0:
             raise ConfigError(f"{_sub(path, 'width')}: must be positive")
-        return initial
+        c = np.zeros(dim) if center is None else np.asarray(center, dtype=float)
+        return (lambda x: np.exp(-np.sum((x - c) ** 2, axis=1) / (2.0 * w * w))), None
     if kind == "constant":
         value = _as_float(_pop(sec, "value", path), _sub(path, "value"))
         _no_extras(sec, path)
-        return InitialCondition(kind=kind, value=value)
+        return (lambda x: np.full(x.shape[0], value)), None
     raise ConfigError(f"{_sub(path, 'kind')}: unknown initial condition {kind!r}")
 
 
@@ -296,7 +277,7 @@ class ExperimentConfig:
     problem: str
     eigenvalues: tuple[float, ...]
     coefficients: Coefficients
-    initial: InitialCondition
+    initial: Callable[[np.ndarray], np.ndarray]
     t_final: float
     steps: tuple[int, ...]
     grid: GridField
@@ -312,10 +293,6 @@ class ExperimentConfig:
     def operator(self) -> OperatorL:
         return OperatorL(coeffs=self.coefficients, A=TraceClassOperator(self.eigenvalues))
 
-    def initial_field(self) -> GridField:
-        """u0 sampled on the configured grid."""
-        return self.grid
-
     def plan(self, n: int) -> ChernoffPlan:
         return ChernoffPlan(
             t_final=self.t_final,
@@ -330,8 +307,11 @@ class ExperimentConfig:
         return dataclasses.replace(self, quadrature=quad)
 
 
-def _parse_oracle(raw, path: str, config: ExperimentConfig) -> Optional[Union[ExactConstant, FDProblem]]:
-    """The oracle section as the oracle it names, built last on the rest of the validated config."""
+def _parse_oracle(
+    raw, path: str, config: ExperimentConfig, wavenumber: Optional[float]
+) -> Optional[Union[ExactConstant, FDProblem]]:
+    """The oracle section as the oracle it names, built last on the rest of the validated config;
+    wavenumber is that of a cosine initial condition, None for the other kinds."""
     if raw is None:
         return None
     sec = _mapping(raw, path)
@@ -345,9 +325,9 @@ def _parse_oracle(raw, path: str, config: ExperimentConfig) -> Optional[Union[Ex
             raise ConfigError(
                 "coefficients: exact_constant oracle requires constant g, constant C, and no drift"
             )
-        if config.initial.kind != "cosine":
+        if wavenumber is None:
             raise ConfigError("initial.kind: exact_constant oracle requires a cosine initial condition")
-        closed_form = (co.g.constant_value, config.eigenvalues[0], co.C.constant_value, config.initial.wavenumber)
+        closed_form = (co.g.constant_value, config.eigenvalues[0], co.C.constant_value, wavenumber)
         return _build("coefficients.C", ExactConstant, *closed_form, config.t_final)
     if kind == "crank_nicolson":
         bounds = _parse_bounds(_pop(sec, "bounds", path), _sub(path, "bounds"))
@@ -359,7 +339,7 @@ def _parse_oracle(raw, path: str, config: ExperimentConfig) -> Optional[Union[Ex
             path, FDProblem, dim=dim, coeffs=co, A=TraceClassOperator(config.eigenvalues), bounds=bounds,
             points_per_axis=points, t_final=config.t_final, time_steps=time_steps, **opts,
         )
-        _build(path, problem.initial_field, config.initial.function(dim))
+        _build(path, problem.initial_field, config.initial)
         return problem
     raise ConfigError(f"{_sub(path, 'kind')}: unknown oracle kind {kind!r}")
 
@@ -372,7 +352,7 @@ def parse_config(data: Any) -> ExperimentConfig:
     dim = len(grid_args["bounds"])
     eigenvalues = _float_list(_pop(root, "eigenvalues", ""), "eigenvalues")
     coefficients = _build_coefficients(_pop(root, "coefficients", ""), dim, "coefficients")
-    initial = _build_initial(_pop(root, "initial", ""), dim, "initial")
+    initial, wavenumber = _build_initial(_pop(root, "initial", ""), dim, "initial")
     t_final = _as_float(_pop(root, "t_final", ""), "t_final")
     steps = _parse_steps(_pop(root, "steps", ""), "steps")
     quadrature = _parse_quadrature(_pop(root, "quadrature", ""), "quadrature")
@@ -389,7 +369,7 @@ def parse_config(data: Any) -> ExperimentConfig:
         initial=initial,
         t_final=t_final,
         steps=steps,
-        grid=_build("grid", GridField.from_function, fn=initial.function(dim), **grid_args),
+        grid=_build("grid", GridField.from_function, fn=initial, **grid_args),
         quadrature=quadrature,
         output=output,
         **opts,
@@ -397,7 +377,7 @@ def parse_config(data: Any) -> ExperimentConfig:
     _build("eigenvalues", config.operator)
     for n in steps:
         _build("config", config.plan, n)
-    return dataclasses.replace(config, oracle=_parse_oracle(oracle_raw, "oracle", config))
+    return dataclasses.replace(config, oracle=_parse_oracle(oracle_raw, "oracle", config, wavenumber))
 
 
 def load_config(path) -> ExperimentConfig:

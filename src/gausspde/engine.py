@@ -37,7 +37,7 @@ import scipy.ndimage as ndi
 import scipy.sparse as sp
 
 from .cylinder import Coefficients, CylFunction, OperatorL, apply_L
-from .gauss import GH_MAX_DIM, IntegrandError, QuadratureSpec, gaussian_nodes, is_integer
+from .gauss import IntegrandError, QuadratureSpec, gaussian_nodes, is_integer
 
 __all__ = [
     "ChernoffPlan",
@@ -355,8 +355,6 @@ class _Step:
                     f"one-step Gaussian reach {reach:.3g} exceeds domain width {hi - lo:.3g}; enlarge the grid"
                 )
         self.gauss_hermite = quad.backend == "gauss_hermite"
-        if self.gauss_hermite and grid.dim > GH_MAX_DIM:
-            raise ValueError(f"gauss_hermite backend supports dimension <= {GH_MAX_DIM}, got {grid.dim}")
         pts = grid.meshpoints()
         scale, tilt, self.prefactor = _step_coefficients(op, tau, pts)
         if not self.gauss_hermite:

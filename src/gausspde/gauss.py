@@ -252,7 +252,10 @@ def gaussian_nodes(quad: QuadratureSpec, variances, stream: tuple[int, ...] = ()
     """Points (m, n) and weights (m,) of the backend's rule for N(0, diag(variances)): the tensor
     Gauss-Hermite rule (n <= GH_MAX_DIM), or quad.samples Philox draws from child `stream` of
     rng_seed with equal weights; either way the standard nodes are scaled by sqrt(variances)."""
-    sd = np.sqrt(np.asarray(variances, dtype=float))
+    variances = np.asarray(variances, dtype=float)
+    if variances.ndim != 1 or variances.size == 0 or not np.all(np.isfinite(variances) & (variances >= 0.0)):
+        raise ValueError("variances must be a nonempty 1-d vector of finite, nonnegative numbers")
+    sd = np.sqrt(variances)
     if quad.backend == "gauss_hermite":
         if sd.size > GH_MAX_DIM:
             raise ValueError(f"gauss_hermite backend supports dimension <= {GH_MAX_DIM}, got {sd.size}")

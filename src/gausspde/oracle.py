@@ -57,6 +57,14 @@ _BOUNDARIES = ("periodic", "dirichlet")
 _PERMC_SPEC = "MMD_AT_PLUS_A"
 
 
+def _points(points, dim: int) -> np.ndarray:
+    """points as a float array; ValueError unless it is shaped (m, dim)."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != dim:
+        raise ValueError(f"points must be shaped (m, {dim}), got {points.shape}")
+    return points
+
+
 def exact_constant_solution(gamma: float, a: float, c: float, k: float, t: float, x):
     """Exact solution e^{(c - gamma a k^2) t} cos(k x) of u_t = gamma a u'' + c u."""
     if not all(math.isfinite(v) for v in (gamma, a, c, k, t)):
@@ -88,7 +96,7 @@ class ExactConstant:
 
     def values(self, initial_fn, points) -> np.ndarray:
         """The solution at t on (m, 1) points; k already fixes the initial cos(k x)."""
-        return exact_constant_solution(self.gamma, self.a, self.c, self.k, self.t, np.asarray(points)[:, 0])
+        return exact_constant_solution(self.gamma, self.a, self.c, self.k, self.t, _points(points, 1)[:, 0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,12 +147,19 @@ class FDProblem:
         return u0
 
     def values(self, initial_fn, points) -> np.ndarray:
-        """The solution at t_final from u0 = initial_fn, at (m, dim) points inside the box.
+        """The solution at t_final from u0 = initial_fn, at (m, dim) points.
 
         One cubic spline that wraps around a period samples both boundaries.  A
-        periodic period is the unknowns; on a Dirichlet box u - boundary_value is
-        continued oddly across each edge, so a period is 2(N - 1) cells.
+        periodic period is the unknowns, and points outside the box read the
+        periodic solution.  On a Dirichlet box u - boundary_value is continued
+        oddly across each edge, so a period is 2(N - 1) cells; that continuation
+        is not the solution, so points outside the box raise ValueError.
         """
+        points = _points(points, self.dim)
+        if self.boundary == "dirichlet":
+            for axis, (lo, hi) in enumerate(self.bounds):
+                if not np.all((points[:, axis] >= lo) & (points[:, axis] <= hi)):
+                    raise ValueError(f"points on axis {axis} must lie inside the Dirichlet box [{lo}, {hi}]")
         u = fd_solve(self, self.initial_field(initial_fn))
         shift = self.boundary_value if self.boundary == "dirichlet" else 0.0
         period = _extract(self, u) - shift
@@ -152,7 +167,6 @@ class FDProblem:
             for axis in range(self.dim):
                 inner = np.flip(period, axis).take(range(1, self.points_per_axis - 1), axis)
                 period = np.concatenate([period, -inner], axis)
-        points = np.asarray(points, dtype=float)
         coords = [(points[:, i] - lo) / dx for i, ((lo, _), dx) in enumerate(zip(u.bounds, u.spacings))]
         return ndi.map_coordinates(period, coords, order=3, mode="grid-wrap") + shift
 

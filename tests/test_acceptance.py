@@ -254,7 +254,7 @@ def test_criterion_07_contractivity_across_the_config_suite():
         config = load_config(path)
         if not (config.coefficients.drift_is_zero and config.coefficients.contractive):
             continue
-        u0 = config.initial_field()
+        u0 = config.grid
         result = chernoff_solve(config.plan(config.steps[-1]), u0)
         excess = float(np.max(result.interior_sup_norms)) - u0.sup_norm
         checked.append((config.problem, excess))

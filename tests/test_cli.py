@@ -170,7 +170,7 @@ def test_converge_single_step_row_equals_a_direct_run(tmp_path):
     assert len(rows) == 1
 
     config = load_config(path)
-    u0 = config.initial_field()
+    u0 = config.grid
     mask = u0.interior_mask(config.plan(1).required_margin())
     result = chernoff_solve(config.plan(1), u0)
     exact = exact_constant_solution(1.0, 0.5, -1.0, 1.0, 1.0, u0.axes[0][mask])
@@ -225,10 +225,10 @@ def test_converge_against_crank_nicolson_equals_direct_runs(tmp_path, boundary, 
     assert [r[0] for r in rows] == ["4", "8"]
 
     config = load_config(path)
-    u0 = config.initial_field()
+    u0 = config.grid
     mask = u0.interior_mask(config.plan(8).required_margin()).ravel() & (np.abs(u0.axes[0]) <= math.pi)
     points = u0.meshpoints()[mask]
-    reference = config.oracle.values(config.initial.function(1), points)
+    reference = config.oracle.values(config.initial, points)
     for n, row in zip((4, 8), rows):
         direct = float(np.max(np.abs(chernoff_solve(config.plan(n), u0).field.values.ravel()[mask] - reference)))
         assert float(row[1]) == pytest.approx(direct, abs=1e-15)

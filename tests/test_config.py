@@ -58,17 +58,16 @@ def test_grid_boundary_mode_defaults_to_the_library_default():
     cfg = parse_config(base_dict())
     assert cfg.grid.boundary_mode == "clamp" == GridField.__dataclass_fields__["boundary_mode"].default
     assert cfg.grid.boundary_value == 0.0
-    assert cfg.initial_field().boundary_mode == "clamp"
     data = base_dict()
     data["grid"]["boundary_mode"] = "constant"
-    assert parse_config(data).initial_field().boundary_mode == "constant"
+    assert parse_config(data).grid.boundary_mode == "constant"
 
 
 def test_helpers_build_runnable_objects():
     cfg = parse_config(base_dict())
     op = cfg.operator()
     assert op.dim == 1 and float(op.q[0]) == 0.5
-    u0 = cfg.initial_field()
+    u0 = cfg.grid
     assert isinstance(u0, GridField)
     assert u0.points_per_axis == 512
     assert_allclose(u0.values, np.cos(u0.axes[0]), atol=1e-14)
@@ -190,12 +189,12 @@ def test_drift_components_match_dimension():
 def test_initial_condition_registry():
     data = variant(oracle=None, initial={"kind": "gaussian_bump", "width": 0.5, "center": [1.0]})
     cfg = parse_config(data)
-    fn = cfg.initial.function(1)
+    fn = cfg.initial
     assert_allclose(fn(np.array([[1.0]])), [1.0], atol=1e-15)
     assert_allclose(fn(np.array([[0.0]])), [math.exp(-2.0)], rtol=1e-15)
 
     data = variant(oracle=None, initial={"kind": "constant", "value": 3.5})
-    fn = parse_config(data).initial.function(1)
+    fn = parse_config(data).initial
     assert_allclose(fn(np.zeros((4, 1))), np.full(4, 3.5))
 
     data = variant(oracle=None, initial={"kind": "gaussian_bump", "center": [0.0, 0.0]})
@@ -210,7 +209,7 @@ def test_cosine_initial_is_a_product_across_axes():
         grid={"bounds": [[-8.0, 8.0], [-8.0, 8.0]], "points_per_axis": 16},
     )
     cfg = parse_config(data)
-    fn = cfg.initial.function(2)
+    fn = cfg.initial
     pts = np.array([[0.3, -0.7], [1.1, 0.2]])
     assert_allclose(fn(pts), np.cos(pts[:, 0]) * np.cos(pts[:, 1]), atol=1e-15)
 
@@ -297,7 +296,6 @@ def test_bad_values_raise_config_errors_naming_the_field(name):
 def test_grid_is_the_initial_field_with_the_library_defaults():
     cfg = parse_config(base_dict())
     assert isinstance(cfg.grid, GridField)
-    assert cfg.initial_field() is cfg.grid
     assert cfg.grid.bounds == ((-9.2, 9.2),) and cfg.grid.points_per_axis == 512
     quad = parse_config(variant(quadrature={"backend": "monte_carlo"})).quadrature
     assert quad == QuadratureSpec(backend="monte_carlo")
@@ -320,7 +318,7 @@ def test_exact_constant_oracle_is_the_closed_form():
     assert isinstance(cfg.oracle, ExactConstant) and cfg.oracle.kind == "exact_constant"
     assert cfg.oracle.bounds is None
     x = np.linspace(-1.0, 1.0, 5)
-    values = cfg.oracle.values(cfg.initial.function(1), x[:, None])
+    values = cfg.oracle.values(cfg.initial, x[:, None])
     assert_allclose(values, math.exp(-1.5) * np.cos(x), rtol=1e-15)
 
 

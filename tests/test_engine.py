@@ -1,5 +1,6 @@
 """One-step Gaussian-integral operator S_tau and its iteration on grids."""
 
+import functools
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from gausspde.engine import (
     norm_bound_check,
     tangency_residual,
 )
-from gausspde.gauss import IntegrandError, QuadratureSpec, TraceClassOperator
+from gausspde.gauss import GH_MAX_DIM, IntegrandError, QuadratureSpec, TraceClassOperator
 
 GH = QuadratureSpec(backend="gauss_hermite", nodes_per_dim=32)
 
@@ -292,6 +293,21 @@ def test_compiled_step_is_the_lie_product_when_g_varies_along_a_later_axis():
         dev.append(np.max(np.abs(apply_S(op, tau, u, quad).values.ravel() - ref)[mask]))
     assert dev[0] > 1e-3
     assert dev[0] >= 3.0 * dev[1] and dev[1] >= 3.0 * dev[2]
+
+
+def test_gauss_hermite_grid_step_has_no_dimension_cap():
+    # the step applies a 1D rule per axis (d K M work, not K^d), so the tensor rule's GH_MAX_DIM
+    # does not bound it; a separable field under a constant drift-free operator steps as the
+    # outer product of its 1-axis steps
+    q = (0.5, 0.4, 0.3, 0.2, 0.1)
+    assert len(q) > GH_MAX_DIM
+    quad = QuadratureSpec(backend="gauss_hermite", nodes_per_dim=8)
+    box, tau = (-3.0, 3.0), 0.1
+    lines = np.random.default_rng(3).standard_normal((len(q), 7))
+    steps = [apply_S(const_op(q=(qi,)), tau, GridField([box], line), quad).values for qi, line in zip(q, lines)]
+    u = GridField([box] * len(q), functools.reduce(np.multiply.outer, lines))
+    expected = functools.reduce(np.multiply.outer, steps)
+    assert np.max(np.abs(apply_S(const_op(q=q), tau, u, quad).values - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 @pytest.mark.parametrize("interpolation", ["cubic", "linear"])

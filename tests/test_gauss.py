@@ -189,6 +189,16 @@ def test_gaussian_nodes_gauss_hermite_rows():
         gaussian_nodes(GH, np.ones(5))
 
 
+@pytest.mark.parametrize("backend", ["gauss_hermite", "monte_carlo"])
+@pytest.mark.parametrize(
+    "variances", [[-1.0], [np.nan], [np.inf], [1.0, -0.5], [[1.0, 2.0]], [], 1.0], ids=repr
+)
+def test_gaussian_nodes_reject_bad_variances(backend, variances):
+    quad = QuadratureSpec(backend=backend, nodes_per_dim=4, samples=16)
+    with pytest.raises(ValueError, match="variances must be a nonempty 1-d vector"):
+        gaussian_nodes(quad, variances)
+
+
 def test_gaussian_nodes_monte_carlo_stream():
     quad = QuadratureSpec(backend="monte_carlo", samples=1000, rng_seed=17)
     pts, w = gaussian_nodes(quad, [4.0, 0.25, 1.0, 1.0, 1.0], stream=(3,))

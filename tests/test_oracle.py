@@ -232,6 +232,41 @@ def test_dirichlet_values_converge_at_second_order_up_to_a_curved_edge():
     assert errors[0] / errors[1] >= 3.0 and errors[1] / errors[2] >= 3.0
 
 
+def test_values_refuse_points_not_shaped_m_by_dim():
+    # unchecked, a 1-D array raised IndexError from the spline sampler
+    cos = lambda x: np.cos(x[:, 0])
+    for oracle in (problem_1d(const_coeffs(), pts=64, steps=10), ExactConstant(1.0, 0.5, -1.0, 1.0, 1.0)):
+        for points in (np.zeros(5), np.zeros((5, 2)), np.zeros((5, 1, 1))):
+            with pytest.raises(ValueError, match=r"points must be shaped \(m, 1\)"):
+                oracle.values(cos, points)
+    with pytest.raises(ValueError, match=r"points must be shaped \(m, 2\)"):
+        periodic_2d_problem(33).values(lambda x: np.cos(x[:, 0]) * np.cos(x[:, 1]), np.zeros((4, 1)))
+
+
+def test_values_outside_a_dirichlet_box_raise_naming_the_axis():
+    # past an edge the odd continuation reads the negated solution: -0.3734 at pi + 0.5 for sin x
+    u0 = lambda x: np.prod(np.sin(x), axis=1)
+    d = FDProblem(
+        dim=2,
+        coeffs=const_coeffs(dim=2),
+        A=TraceClassOperator([0.5, 0.25]),
+        bounds=((0.0, math.pi),) * 2,
+        points_per_axis=33,
+        t_final=0.5,
+        time_steps=20,
+        boundary="dirichlet",
+    )
+    for bad, axis in (([math.pi + 0.5, 1.0], 0), ([1.0, -0.1], 1), ([-1e-9, 4.0], 0)):
+        with pytest.raises(ValueError, match=f"axis {axis}"):
+            d.values(u0, np.array([[1.0, 1.0], bad]))
+    assert np.all(d.values(u0, [[0.0, math.pi], [1.0, 2.0]]) >= 0.0)
+    # a periodic solution is periodic, so a periodic box keeps wrapping
+    p = problem_1d(const_coeffs(), pts=64, steps=10)
+    cos = lambda x: np.cos(x[:, 0])
+    x = np.array([[-3.0], [0.4], [2.9]])
+    assert_allclose(p.values(cos, x + 2.0 * math.pi), p.values(cos, x), rtol=0, atol=1e-12)
+
+
 def test_fd_2d_non_square_box_uses_each_axis_spacing():
     # axis 2 is twice as long as axis 1, so its spacing is twice axis 1's
     co = const_coeffs(g=1.0, c=0.0, dim=2)

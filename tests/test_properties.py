@@ -12,12 +12,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from gausspde.cylinder import Coefficients, CylFunction, OperatorL
-from gausspde.engine import GridField, apply_S
+from gausspde import engine
+from gausspde.engine import GridField, _FieldEvaluator, _one_step_values, apply_S
 from gausspde.gauss import QuadratureSpec, TraceClassOperator
 
 # deterministic, no example database on disk, and a few seconds of tier 1
@@ -57,8 +59,9 @@ def _wave(draw, dim):
 
 
 @st.composite
-def cases(draw, drift=True, c_nonpositive=False, modes=("clamp", "constant"), interpolations=("cubic", "linear")):
-    dim = draw(st.integers(1, 3))
+def cases(draw, drift=True, c_nonpositive=False, modes=("clamp", "constant"), interpolations=("cubic", "linear"),
+          max_dim=3):
+    dim = draw(st.integers(1, max_dim))
     halves = [draw(st.floats(1.0, 6.0)) for _ in range(dim)]
     bounds = tuple((c - h, c + h) for c, h in zip((draw(st.floats(-2.0, 2.0)) for _ in range(dim)), halves))
     q = sorted((draw(st.floats(0.05, 1.0)) for _ in range(dim)), reverse=True)
@@ -136,3 +139,19 @@ def test_linear_step_is_positive(case):
 def test_linear_step_is_a_sup_norm_contraction_without_drift_for_nonpositive_c(case):
     u = case.field(case.rng.standard_normal(case.shape))
     assert np.max(np.abs(case.step(u))) <= u.sup_norm * (1.0 + 1e-12)
+
+
+@PROPERTY
+@given(cases(max_dim=2))
+def test_node_sum_does_not_depend_on_the_chunk_size(case):
+    # _GATHER_ELEMENTS // M nodes are gathered per chunk: a budget of 1 sums one node at a time,
+    # a budget past K M sums every node at once
+    u = case.field(case.rng.standard_normal(case.shape), boundary_value=case.rng.standard_normal())
+    evaluator, pts = _FieldEvaluator(u, case.interpolation), u.meshpoints()
+    sums = []
+    for budget in (1, 2**62):
+        # patched in the body: hypothesis refuses function-scoped fixtures such as monkeypatch
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "_GATHER_ELEMENTS", budget)
+            sums.append(_one_step_values(case.op, case.tau, evaluator, pts, case.quad))
+    assert np.max(np.abs(sums[0] - sums[1])) <= 1e-13 * (1.0 + u.sup_norm)
