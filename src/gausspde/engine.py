@@ -20,9 +20,13 @@ interior points only.
 On a grid S_tau is linear and the same at every step, so one step object per
 chernoff_solve (and per apply_S call), _Step, serves both backends: it checks the
 geometry and computes the grid points and per-point factors once.  Gauss-Hermite
-node sums are fixed as one sparse 1D factor per axis, about d M K (order + 1) * 12
-bytes for M grid points and K nodes per axis.  Monte Carlo draws fresh nodes at
-every step (Philox stream k-1) and sums them by _node_sum, as tangency_residual does.
+node sums are fixed as one 1D factor per axis, built once per grid line rather than
+once per point wherever the coefficients allow it.  For K nodes per axis, lines of n
+points and M grid points, shared taps take K n (order + 1) * 12 bytes, a per-line
+stencil 8 bytes per line and grid offset it reaches (about 2 s z_max / dx + order + 1
+offsets), and per-point taps K M (order + 1) * 12 bytes.  Monte Carlo draws fresh
+nodes at every step (Philox stream k-1) and sums them by _node_sum, as
+tangency_residual does.
 """
 
 from __future__ import annotations
@@ -270,13 +274,12 @@ def _one_step_values(
     return _prefactored(prefactor, _node_sum(eval_fn, pts, scale, tilt, *gaussian_nodes(quad, op.q, stream)))
 
 
-def _spline_taps(idx: np.ndarray, order: int, size: int, mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficient columns and B-spline weights that interpolation at grid index idx reads.
+def _spline_taps(idx: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Grid indices and B-spline weights that interpolation at grid index idx reads.
 
     Bit for bit what scipy.ndimage.map_coordinates computes (prefilter=False) at the same
     index: taps floor(idx) - order // 2 ... + order, the last weight by the sum rule.
-    Reads past the edge clamp to it ("nearest") or, for "grid-constant", land on a
-    padding cell holding cval, so columns address the coefficients padded by one cell.
+    Taps may lie past the edge; _edge_index says which coefficient each one reads.
     """
     base = np.floor(idx)
     cols = base.astype(np.intp)[..., None] + (np.arange(order + 1, dtype=np.intp) - order // 2)
@@ -293,32 +296,104 @@ def _spline_taps(idx: np.ndarray, order: int, size: int, mode: str) -> tuple[np.
     for j in range(order):
         last = last - w[..., j]
     w[..., order] = last
-    if mode == "nearest":
-        np.clip(cols, 0, size - 1, out=cols)
-    else:
-        np.clip(cols, -1, size, out=cols)
-        cols += 1
     return cols, w
 
 
-def _axis_matrix(idx: np.ndarray, axis: int, shape: tuple, order: int, mode: str) -> sp.csr_matrix:
-    """Sparse matrix of the spline taps at grid index idx[k, p] along `axis` of a field of `shape`.
+def _edge_index(cols: np.ndarray, size: int, mode: str) -> np.ndarray:
+    """Coefficient each tap at grid index cols reads, in place: past the edge, the edge one
+    ("nearest") or, for "grid-constant", a padding cell holding cval, so indices address the
+    coefficients padded by one cell at each end."""
+    if mode == "nearest":
+        return np.clip(cols, 0, size - 1, out=cols)
+    np.clip(cols, -1, size, out=cols)
+    cols += 1
+    return cols
 
-    Row k M + p reads the coefficients on point p's line along `axis`, which "grid-constant"
-    pads by one cell at each end of that axis.  Columns are flat indices into them, in intp
-    since 4-axis grids can pass 2^31 cells; scipy stores them in int32 when they fit.
+
+class _LineTaps:
+    """Axis factor as spline taps at every node: one CSR row per node and point of a line.
+
+    Maps coefficients arranged (padded size, L), one grid line along the axis per column, to
+    node sums (size, L).  Node indices idx are (K, size, 1) when the taps are the same on
+    every line, one (K size x padded size) block applied to all columns at once, or
+    (K, size, L) for one block per line, where the tap at coefficient j of line r is column
+    j L + r of the raveled coefficients.  Columns are intp, since 4-axis grids can pass 2^31
+    cells; scipy stores them in int32 when they fit.  drift is the weight e^{beta s z_k},
+    shaped like idx.
     """
-    size = shape[axis]
-    padded = size + 2 if mode == "grid-constant" else size
-    cols, w = _spline_taps(idx, order, size, mode)
-    inner = math.prod(shape[axis + 1 :])
-    point = np.arange(idx.shape[1], dtype=np.intp)
-    cols *= inner
-    cols += (point // (size * inner) * (padded * inner) + point % inner)[:, None]
-    return sp.csr_matrix(
-        (w.ravel(), cols.ravel(), np.arange(0, w.size + 1, order + 1, dtype=np.intp)),
-        shape=(w.size // (order + 1), idx.shape[1] // size * padded),
-    )
+
+    def __init__(self, idx: np.ndarray, drift: Optional[np.ndarray], weights: np.ndarray, order: int, mode: str):
+        _, self.size, self.lines = idx.shape
+        self.drift, self.weights = drift, weights
+        padded = self.size + 2 if mode == "grid-constant" else self.size
+        cols, w = _spline_taps(idx, order)
+        cols = _edge_index(cols, self.size, mode)
+        cols *= self.lines
+        cols += np.arange(self.lines, dtype=np.intp)[:, None]
+        self.matrix = sp.csr_matrix(
+            (w.ravel(), cols.ravel(), np.arange(0, w.size + 1, order + 1, dtype=np.intp)),
+            shape=(w.size // (order + 1), padded * self.lines),
+        )
+
+    def __call__(self, coeffs: np.ndarray) -> np.ndarray:
+        lines = coeffs.shape[1]
+        # one shared block multiplies the coefficient matrix; a single column stays a matvec
+        node_vals = self.matrix @ (coeffs if self.lines < lines else coeffs.ravel())
+        node_vals = node_vals.reshape(self.weights.size, self.size, lines)
+        if self.drift is not None:
+            node_vals = node_vals * self.drift
+        return (self.weights @ node_vals.reshape(self.weights.size, -1)).reshape(self.size, lines)
+
+
+class _LineStencil:
+    """Axis factor whose scale and tilt are constant along each line: one kernel per line.
+
+    Line r's nodes sit at the same offsets s_r z_k from every point, so its taps, drift
+    weights and node weights fold into one kernel over grid offsets lo .. lo + width - 1,
+    applied as a banded convolution on the coefficients extended past the edge.
+    """
+
+    def __init__(self, rel: np.ndarray, drift: Optional[np.ndarray], weights: np.ndarray, order: int, size: int,
+                 mode: str):
+        lines = rel.shape[0]
+        cols, w = _spline_taps(rel, order)  # (L, K, order + 1) taps at node offsets rel = s_r z_k / dx
+        w *= weights[:, None] if drift is None else (drift * weights)[:, :, None]
+        lo = int(cols.min())
+        self.width = int(cols.max()) - lo + 1
+        cols += (np.arange(lines, dtype=np.intp) * self.width - lo)[:, None, None]
+        self.kernel = np.bincount(cols.ravel(), w.ravel(), minlength=lines * self.width).reshape(lines, self.width)
+        self.index = _edge_index(np.arange(lo, lo + size + self.width - 1, dtype=np.intp), size, mode)
+
+    def __call__(self, coeffs: np.ndarray) -> np.ndarray:
+        extended = np.take(coeffs.T, self.index, axis=1)  # C-ordered, unlike coeffs.T[:, index]
+        windows = np.lib.stride_tricks.sliding_window_view(extended, self.width, axis=1)
+        return np.einsum("rjw,rw->rj", windows, self.kernel).T
+
+
+def _lines(a: np.ndarray, axis: int) -> np.ndarray:
+    """a as a matrix with one column per grid line along `axis`: that axis swapped to the front,
+    the others raveled.  Every step calls it once per axis, so it uses swapaxes: moveaxis spends
+    about 10 us on argument handling, several percent of a 1D step."""
+    return a.swapaxes(0, axis).reshape(a.shape[axis], -1)
+
+
+def _axis_factor(x: np.ndarray, scale: np.ndarray, tilt: Optional[np.ndarray], nodes: np.ndarray,
+                 weights: np.ndarray, lo: float, dx: float, order: int, mode: str):
+    """Factor along the axis with coordinates x, for scale and tilt given per line (_lines).
+
+    Its form follows them: one block of taps for every line when they are the same on each
+    line, a folded stencil per line when they are constant along each line, and taps per
+    point otherwise.
+    """
+    per_line = (scale,) if tilt is None else (scale, tilt)
+    if all(np.all(a == a[:, :1]) for a in per_line):
+        scale, tilt = scale[:, :1], None if tilt is None else tilt[:, :1]
+    elif all(np.all(a == a[:1]) for a in per_line):
+        drift = None if tilt is None else np.exp(np.outer(tilt[0], nodes) * scale[0][:, None])
+        return _LineStencil(np.outer(scale[0], nodes) / dx, drift, weights, order, x.size, mode)
+    z = nodes[:, None, None]
+    drift = None if tilt is None else np.exp(z * tilt * scale)
+    return _LineTaps((x[:, None] + scale * z - lo) / dx, drift, weights, order, mode)
 
 
 class _Step:
@@ -329,11 +404,19 @@ class _Step:
     prefactor.  Monte Carlo draws a fresh node set from Philox stream `stream` at every call,
     then prefilters the field and interpolates it at the nodes (_node_sum).
 
-    Gauss-Hermite node sums are fixed, one sparse factor per axis.  A is diagonal, so the
-    step moves points one axis at a time: factor i is the spline prefilter along axis i, the
+    Gauss-Hermite node sums are fixed, one factor per axis.  A is diagonal, so the step
+    moves points one axis at a time: factor i is the spline prefilter along axis i, the
     spline taps at the nodes x + sqrt(2 tau g(x) q_i) z_k e_i of the 1D rule gaussian_nodes
-    gives for q_i (a sparse matrix), the drift weight e^{beta_i s sqrt(q_i) z_k} and the node
-    sum.  In 1D this is _node_sum's own summation, so results are bit-identical to it (while
+    gives for q_i, the drift weight e^{beta_i s sqrt(q_i) z_k} and the node sum.  Its form
+    is picked from the scale s and tilt beta_i along axis i alone (_axis_factor):
+      (a) the same on every line along axis i (always in 1D, and on axis 1 when the
+          coefficients depend on x_1 only): one CSR block of taps, K n x n for lines of n
+          points, multiplies the coefficients arranged one line per column;
+      (b) constant along each line and different between lines (axes 2.. when the
+          coefficients depend on x_1 only): each line folds its taps, drift weights and
+          node weights into one kernel, applied as a banded convolution;
+      (c) otherwise: taps per point, (a) with one block per line.
+    In 1D this is _node_sum's own summation, so results are bit-identical to it (while
     K M <= 4e6, where it sums all nodes at once).  In d >= 2 the factors' product is the
     tensor step, up to rounding, when g depends on x_1 only and B_j on x_1 .. x_j only, so
     that no factor's weights change along the axes filtered after it; otherwise it is their
@@ -364,16 +447,14 @@ class _Step:
 
         self.mode, self.cval = _spline_mode(grid)
         self.shape = grid.values.shape
-        self.matrices, self.drifts = [], []
-        for i, ((lo, _), dx) in enumerate(zip(grid.bounds, grid.spacings)):
-            zc, self.node_weights = gaussian_nodes(quad, op.q[i : i + 1])  # the same weights on every axis
-            zc = zc[:, 0]
-            # node grid indices go straight in, so they are freed before the next axis is built
-            self.matrices.append(_axis_matrix(
-                (pts[None, :, i] + scale[None, :] * zc[:, None] - lo) / dx,
-                i, self.shape, self.order, self.mode,
-            ))
-            self.drifts.append(None if tilt is None else np.exp(np.outer(zc, tilt[:, i]) * scale[None, :]))
+        scale = scale.reshape(self.shape)
+        self.factors = []
+        for i, ((lo, _), dx, x) in enumerate(zip(grid.bounds, grid.spacings, grid.axes)):
+            zc, weights = gaussian_nodes(quad, op.q[i : i + 1])  # the same weights on every axis
+            tilt_i = None if tilt is None else _lines(tilt[:, i].reshape(self.shape), i)
+            self.factors.append(
+                _axis_factor(x, _lines(scale, i), tilt_i, zc[:, 0], weights, lo, dx, self.order, self.mode)
+            )
 
         self.edges = []
         if self.mode == "grid-constant":
@@ -387,10 +468,7 @@ class _Step:
         """Axis-i factor on coefficients already prefiltered along axis i."""
         if self.edges:
             coeffs = np.concatenate((self.edges[i][0], coeffs, self.edges[i][1]), axis=i)
-        node_vals = (self.matrices[i] @ coeffs.ravel()).reshape(self.node_weights.size, -1)
-        if self.drifts[i] is not None:
-            node_vals = node_vals * self.drifts[i]
-        return (self.node_weights @ node_vals).reshape(self.shape)
+        return self.factors[i](_lines(coeffs, i)).reshape(self.shape).swapaxes(0, i)
 
     def __call__(self, u: GridField, stream: tuple) -> GridField:
         if self.gauss_hermite:

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -274,6 +275,47 @@ def test_compiled_step_3d_patch_gather(monkeypatch, budget):
     u = rough_field(3, 7, 3.0, boundary_mode="constant", boundary_value=0.5)
     ref = _one_step_values(op, 0.3, _FieldEvaluator(u, "cubic"), u.meshpoints(), quad)
     assert np.max(np.abs(apply_S(op, 0.3, u, quad).values.ravel() - ref)) <= 1e-13
+
+
+def x1_drift_op(dim):
+    """variable_op's g and C with the drift B_i = b_i cos(x1), a function of x1 alone."""
+    op = variable_op(dim, drift=False)
+    b = (0.4, -0.3, 0.25)[:dim]
+    B = [CylFunction(dim=dim, eval=lambda x, bi=bi: bi * np.cos(x[:, 0]), sup_bound=abs(bi)) for bi in b]
+    co = Coefficients(g=op.coeffs.g, B=B, C=op.coeffs.C, g_floor=0.5)
+    return OperatorL(coeffs=co, A=op.A)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("interpolation", ["cubic", "linear"])
+@pytest.mark.parametrize("mode", ["clamp", "constant"])
+def test_per_line_stencils_fold_the_drift_weight(dim, interpolation, mode):
+    # scale and tilt along axes 2.. are constant on each grid line and differ between lines, so
+    # each line's taps, drift weights and node weights fold into one kernel
+    op = x1_drift_op(dim)
+    quad = QuadratureSpec(backend="gauss_hermite", nodes_per_dim=8)
+    u = rough_field(dim, (24, 10)[dim - 2], 3.0, boundary_mode=mode, boundary_value=0.75)
+    step = engine._Step(op, 0.4, u, quad, interpolation)
+    assert all(isinstance(factor, engine._LineStencil) for factor in step.factors[1:])
+    ref = _one_step_values(op, 0.4, _FieldEvaluator(u, interpolation), u.meshpoints(), quad)
+    assert np.max(np.abs(step(u, ()).values.ravel() - ref)) <= 1e-13
+
+
+def test_building_the_step_holds_no_per_point_tables():
+    # per-point spline taps at K = 8 cubic nodes of 256^2 points take K M (order + 1) 12 B = 25 MB
+    # per axis; with g of x1 alone the factors are shared taps along axis 1 and per-line stencils
+    g = CylFunction(dim=2, eval=lambda x: 1.0 + 0.5 * np.sin(x[:, 0]), sup_bound=1.5)
+    co = Coefficients(g=g, B=None, C=CylFunction.constant(0.0, 2), g_floor=0.5)
+    op = OperatorL(coeffs=co, A=TraceClassOperator([0.5, 0.25]))
+    quad = QuadratureSpec(backend="gauss_hermite", nodes_per_dim=8)
+    u = GridField.from_function([(-8.0, 8.0)] * 2, 256, lambda x: np.cos(x[:, 0]) * np.cos(x[:, 1]))
+    tracemalloc.start()
+    try:
+        engine._Step(op, 1.0 / 32, u, quad, "cubic")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_compiled_step_is_the_lie_product_when_g_varies_along_a_later_axis():
