@@ -28,6 +28,7 @@ from .engine import (
     ChernoffPlan,
     ChernoffResult,
     GridField,
+    TapTableError,
     TruncationError,
     apply_S,
     chernoff_solve,
@@ -72,6 +73,7 @@ __all__ = [
     "IntegrandError",
     "OperatorL",
     "QuadratureSpec",
+    "TapTableError",
     "TraceClassOperator",
     "TruncationError",
     "apply_L",

@@ -244,13 +244,15 @@ def _check_tangency_decrease(config: ExperimentConfig) -> CheckResult:
 
 def _check_norm_bound(config: ExperimentConfig) -> CheckResult:
     op = _operator(1.0, -1.0, drift=1.0)
-    tau = 0.2
-    worst = -math.inf
-    for i in range(20):
-        rng = philox_generator(config.quadrature.rng_seed, (8800 + i,))
-        u = GridField(bounds=((-8.0, 8.0),), values=rng.uniform(-1.0, 1.0, 257))
-        ratio, bound = norm_bound_check(op, tau, u, config.quadrature)
-        worst = max(worst, ratio - bound)
+    fields = [
+        GridField(
+            bounds=((-8.0, 8.0),),
+            values=philox_generator(config.quadrature.rng_seed, (8800 + i,)).uniform(-1.0, 1.0, 257),
+        )
+        for i in range(20)
+    ]
+    ratios, bound = norm_bound_check(op, 0.2, fields, config.quadrature)
+    worst = float(np.max(ratios - bound))
     return CheckResult("norm_bound", worst, 1e-8, worst <= 1e-8)
 
 
@@ -291,10 +293,8 @@ def _check_coefficient_continuity(config: ExperimentConfig) -> CheckResult:
     base = _operator(1.0, -0.2, sine=0.5)
     u0 = GridField.from_function(((-8.4, 8.4),), 512, lambda x: np.cos(x[:, 0]))
     plan = ChernoffPlan(t_final=0.5, steps=8, quad=config.quadrature, op=base)
-    gaps = [
-        coefficient_continuity_probe(base, _operator(1.0 + d, -0.2 - d, sine=0.5), plan, u0)
-        for d in (1e-1, 1e-2, 1e-3)
-    ]
+    perturbed = [_operator(1.0 + d, -0.2 - d, sine=0.5) for d in (1e-1, 1e-2, 1e-3)]
+    gaps = coefficient_continuity_probe(base, perturbed, plan, u0)
     decreasing = all(a > b for a, b in zip(gaps, gaps[1:]))
     measured = gaps[-1] if decreasing else math.inf
     return CheckResult("coefficient_continuity", measured, 1e-2, measured <= 1e-2)

@@ -24,9 +24,9 @@ node sums are fixed as one 1D factor per axis, built once per grid line rather t
 once per point wherever the coefficients allow it.  For K nodes per axis, lines of n
 points and M grid points, shared taps take K n (order + 1) * 12 bytes, a per-line
 stencil 8 bytes per line and grid offset it reaches (about 2 s z_max / dx + order + 1
-offsets), and per-point taps K M (order + 1) * 12 bytes.  Monte Carlo draws fresh
-nodes at every step (Philox stream k-1) and sums them by _node_sum, as
-tangency_residual does.
+offsets), and per-point taps K M (order + 1) * 12 bytes, refused (TapTableError) above
+_TAP_TABLE_BYTES.  Monte Carlo draws fresh nodes at every step (Philox stream k-1) and
+sums them by _node_sum, as tangency_residual does.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ __all__ = [
     "ChernoffPlan",
     "ChernoffResult",
     "GridField",
+    "TapTableError",
     "TruncationError",
     "apply_S",
     "chernoff_solve",
@@ -60,6 +61,8 @@ _BOUNDARY_MODES = ("clamp", "constant")
 _POINTS_MESSAGE = "points_per_axis must be the same on every axis and at least 2"
 # field values gathered at once by the per-node step: K M of them for K nodes and M points
 _GATHER_ELEMENTS = 4_000_000
+# bytes of one axis factor's per-point tap table, K M (order + 1) * 12, above which it is refused
+_TAP_TABLE_BYTES = 1 << 28
 
 
 def _spline_order(interpolation: str) -> int:
@@ -77,6 +80,10 @@ def _mesh(bounds, points_per_axis: int) -> np.ndarray:
 
 class TruncationError(RuntimeError):
     """Grid bounds are too small for the Gaussian spread of the requested step."""
+
+
+class TapTableError(RuntimeError):
+    """An axis factor would need a per-point tap table larger than _TAP_TABLE_BYTES."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -383,7 +390,8 @@ def _axis_factor(x: np.ndarray, scale: np.ndarray, tilt: Optional[np.ndarray], n
 
     Its form follows them: one block of taps for every line when they are the same on each
     line, a folded stencil per line when they are constant along each line, and taps per
-    point otherwise.
+    point otherwise; those are refused with TapTableError, before any is computed, when
+    they would take more than _TAP_TABLE_BYTES.
     """
     per_line = (scale,) if tilt is None else (scale, tilt)
     if all(np.all(a == a[:, :1]) for a in per_line):
@@ -391,6 +399,12 @@ def _axis_factor(x: np.ndarray, scale: np.ndarray, tilt: Optional[np.ndarray], n
     elif all(np.all(a == a[:1]) for a in per_line):
         drift = None if tilt is None else np.exp(np.outer(tilt[0], nodes) * scale[0][:, None])
         return _LineStencil(np.outer(scale[0], nodes) / dx, drift, weights, order, x.size, mode)
+    elif (table := nodes.size * scale.size * (order + 1) * 12) > _TAP_TABLE_BYTES:
+        raise TapTableError(
+            f"per-point taps along one axis would take {table} bytes, more than the budget of "
+            f"{_TAP_TABLE_BYTES}; use fewer points or nodes, or coefficients constant along or "
+            "across the axis"
+        )
     z = nodes[:, None, None]
     drift = None if tilt is None else np.exp(z * tilt * scale)
     return _LineTaps((x[:, None] + scale * z - lo) / dx, drift, weights, order, mode)
@@ -541,23 +555,39 @@ def tangency_residual(op: OperatorL, phi: CylFunction, tau: float, grid, quad: Q
     return float(np.max(np.abs((s_vals - phi(pts)) / tau - l_vals)))
 
 
-def norm_bound_check(op: OperatorL, tau: float, u: GridField, quad: QuadratureSpec) -> tuple[float, float]:
-    """(||S_tau u|| / ||u||, exp((2 ||A|| B0^2 / g0 + ||C||) tau)) in sup-norm."""
-    if u.sup_norm == 0.0:
-        raise ValueError("norm bound check requires a nonzero input field")
-    out = apply_S(op, tau, u, quad)
+def norm_bound_check(op: OperatorL, tau: float, fields: Sequence[GridField],
+                     quad: QuadratureSpec) -> tuple[np.ndarray, float]:
+    """(||S_tau u|| / ||u|| for each field u, exp((2 ||A|| B0^2 / g0 + ||C||) tau)) in sup-norm.
+
+    The fields share one grid (bounds, points and boundary), so one step serves them all."""
+    fields = list(fields)
+    if not fields:
+        raise ValueError("norm bound check requires at least one field")
+    grid = fields[0]
+    for u in fields:
+        if (u.bounds, u.values.shape, u.boundary_mode, u.boundary_value) != (
+            grid.bounds, grid.values.shape, grid.boundary_mode, grid.boundary_value
+        ):
+            raise ValueError("norm bound check requires every field on the same grid and boundary")
+        if u.sup_norm == 0.0:
+            raise ValueError("norm bound check requires nonzero input fields")
+    step_S = _Step(op, tau, grid, quad, "cubic")
+    ratios = np.array([step_S(u, ()).sup_norm / u.sup_norm for u in fields])
     co = op.coeffs
     growth = 2.0 * op.A.operator_norm * co.drift_norm**2 / co.g_floor + co.c_norm
-    return out.sup_norm / u.sup_norm, math.exp(growth * tau)
+    return ratios, math.exp(growth * tau)
 
 
 def _c_is_nonpositive(co: Coefficients) -> bool:
     return co.contractive or (co.C.is_constant and co.C.constant_value <= 0.0)
 
 
-def coefficient_continuity_probe(op0: OperatorL, op_j: OperatorL, plan: ChernoffPlan, u0: GridField) -> float:
-    """Sup gap between the two solutions at t/4, t/2, t over shared interior points."""
-    for name, op in (("op0", op0), ("op_j", op_j)):
+def coefficient_continuity_probe(op0: OperatorL, perturbed: Sequence[OperatorL], plan: ChernoffPlan,
+                                  u0: GridField) -> list[float]:
+    """Sup gap between op0's solution and each perturbed operator's at t/4, t/2, t, over the
+    interior points the pair shares; op0 is solved once for all of them."""
+    perturbed = list(perturbed)
+    for name, op in [("op0", op0)] + [(f"perturbed[{j}]", op) for j, op in enumerate(perturbed)]:
         if not op.coeffs.drift_is_zero:
             raise ValueError(f"continuity probe requires drift-free coefficients ({name} has drift)")
         if not _c_is_nonpositive(op.coeffs):
@@ -566,11 +596,13 @@ def coefficient_continuity_probe(op0: OperatorL, op_j: OperatorL, plan: Chernoff
         raise ValueError("continuity probe needs steps divisible by 4 for the t/4, t/2, t checkpoints")
     marks = (plan.steps // 4, plan.steps // 2, plan.steps)
     res0 = chernoff_solve(dataclasses.replace(plan, op=op0), u0, checkpoint_steps=marks)
-    res_j = chernoff_solve(dataclasses.replace(plan, op=op_j), u0, checkpoint_steps=marks)
-    margin = max(_margin(op0, plan.t_final), _margin(op_j, plan.t_final))
-    mask = u0.interior_mask(margin)
-    gap = 0.0
-    for k in marks:
-        d = np.max(np.abs(res0.checkpoints[k].values[mask] - res_j.checkpoints[k].values[mask]))
-        gap = max(gap, float(d))
-    return gap
+    gaps = []
+    for op_j in perturbed:
+        res_j = chernoff_solve(dataclasses.replace(plan, op=op_j), u0, checkpoint_steps=marks)
+        mask = u0.interior_mask(max(_margin(op0, plan.t_final), _margin(op_j, plan.t_final)))
+        gap = 0.0
+        for k in marks:
+            d = np.max(np.abs(res0.checkpoints[k].values[mask] - res_j.checkpoints[k].values[mask]))
+            gap = max(gap, float(d))
+        gaps.append(gap)
+    return gaps

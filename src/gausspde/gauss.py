@@ -25,7 +25,9 @@ Evaluators are vectorized: an integrand receives an (m, n) array of points
 and must return an (m,) array of values.  A row's value must depend on that row
 only: Monte Carlo points arrive in blocks of at most _BLOCK rows, so one
 estimate may take several calls, and mc_estimates serves all of its cases from
-one shared draw.
+one shared draw.  Those blocks are (m, n) views with contiguous columns, not C
+order: elementwise integrands give the same bits on any layout, but a matmul
+such as y @ z may move in the last bits, since BLAS takes another path.
 """
 
 from __future__ import annotations
@@ -282,8 +284,9 @@ def mc_estimates(cases, quad: QuadratureSpec) -> list[tuple[float, float]]:
 
     One draw of quad.samples rows, as wide as the widest spec, serves every case: a case of
     dimension d reads its first samples*d normals, which are exactly the normals a fresh
-    (samples, d) draw from the same stream gives.  Each case scales, shifts and evaluates its
-    points _BLOCK rows at a time and takes its moments over all samples at once."""
+    (samples, d) draw from the same stream gives.  Each case scales and shifts its points
+    _BLOCK rows at a time, one column at a time into one reused (width, _BLOCK) buffer whose
+    transpose the integrand receives, and takes its moments over all samples at once."""
     if quad.backend != "monte_carlo":
         raise ValueError("mc_estimates requires a monte_carlo QuadratureSpec")
     cases = list(cases)
@@ -292,15 +295,19 @@ def mc_estimates(cases, quad: QuadratureSpec) -> list[tuple[float, float]]:
     n = quad.samples
     width = max(spec.dim for _, spec in cases)
     z = gaussian_nodes(quad, np.ones(width))[0].ravel()
+    buf = np.empty((width, min(n, _BLOCK)))
     out = []
     for f, spec in cases:
-        pts = z[: n * spec.dim].reshape(n, spec.dim)
+        d = spec.dim
+        pts = z[: n * d].reshape(n, d)
         sd = np.sqrt(spec.variances)
         vals = np.empty(n)
         for lo in range(0, n, _BLOCK):
-            block = pts[lo : lo + _BLOCK] * sd
-            block += spec.mean
-            vals[lo : lo + _BLOCK] = _evaluate(f, block)
+            m = min(_BLOCK, n - lo)
+            for j in range(d):
+                np.multiply(pts[lo : lo + m, j], sd[j], out=buf[j, :m])
+                buf[j, :m] += spec.mean[j]
+            vals[lo : lo + m] = _evaluate(f, buf[:d, :m].T)
         se = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
         out.append((float(vals.mean()), se))
     return out

@@ -5,8 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from gausspde import battery, engine
 from gausspde.battery import CheckResult, run_battery, smooth_suite
 from gausspde.config import ConfigError, parse_config
+from gausspde.engine import GridField, apply_S, norm_bound_check
+from gausspde.gauss import philox_generator
 
 EXPECTED_NAMES = (
     "gaussian_identities",
@@ -109,3 +112,54 @@ def test_battery_deterministic_with_monte_carlo_backend():
     assert first == second
     shifted = run_battery(cfg.with_seed(12))
     assert any(a.measured != b.measured for a, b in zip(first, shifted))
+
+
+@pytest.mark.parametrize("backend", ["gauss_hermite", "monte_carlo"])
+def test_norm_bound_row_builds_one_step_for_its_twenty_fields(monkeypatch, backend):
+    config = battery_config(quadrature={"backend": backend, "samples": 2000, "rng_seed": 5})
+    built = []
+
+    class CountingStep(engine._Step):
+        def __init__(self, *args, **kwargs):
+            built.append(args[2].values.shape)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "_Step", CountingStep)
+    row = battery._check_norm_bound(config)
+    assert built == [(257,)]
+    # the same fields, one apply_S (and one step) each, give the same value bit for bit
+    op = battery._operator(1.0, -1.0, drift=1.0)
+    worst = -math.inf
+    for i in range(20):
+        rng = philox_generator(5, (8800 + i,))
+        u = GridField(bounds=((-8.0, 8.0),), values=rng.uniform(-1.0, 1.0, 257))
+        _, bound = norm_bound_check(op, 0.2, [u], config.quadrature)
+        worst = max(worst, apply_S(op, 0.2, u, config.quadrature).sup_norm / u.sup_norm - bound)
+    assert len(built) == 1 + 20 + 20
+    assert row.measured == worst
+    assert row.passed
+
+
+def test_norm_bound_check_needs_fields_on_one_grid():
+    op = battery._operator(1.0, -1.0, drift=1.0)
+    quad = battery_config().quadrature
+    u = GridField(bounds=((-8.0, 8.0),), values=np.cos(np.linspace(-8.0, 8.0, 257)))
+    for other in (
+        GridField(bounds=((-8.0, 8.5),), values=u.values),
+        GridField(bounds=u.bounds, values=u.values[:256]),
+        GridField(bounds=u.bounds, values=u.values, boundary_mode="constant"),
+    ):
+        with pytest.raises(ValueError, match="same grid"):
+            norm_bound_check(op, 0.2, [u, other], quad)
+    with pytest.raises(ValueError, match="at least one field"):
+        norm_bound_check(op, 0.2, [], quad)
+
+
+def test_coefficient_continuity_row_solves_the_base_operator_once(monkeypatch):
+    solved = []
+    solve = engine.chernoff_solve
+    monkeypatch.setattr(engine, "chernoff_solve", lambda plan, *a, **k: solved.append(plan.op) or solve(plan, *a, **k))
+    row = battery._check_coefficient_continuity(battery_config())
+    assert len(solved) == 4
+    assert len(set(map(id, solved))) == 4
+    assert row.passed

@@ -318,6 +318,28 @@ def test_building_the_step_holds_no_per_point_tables():
     assert peak < 8e6
 
 
+def test_per_point_taps_past_the_budget_are_refused_before_any_is_computed(monkeypatch):
+    # g of x1 and x2 varies along and across both axes: per-point taps at K = 16 cubic nodes
+    # of 256^2 points take K M (order + 1) 12 B = 50 MB per axis, the node indices alone 8 MB
+    g = CylFunction(dim=2, eval=lambda x: 1.0 + 0.5 * np.sin(x[:, 0]) * np.cos(x[:, 1]), sup_bound=1.5)
+    co = Coefficients(g=g, B=None, C=CylFunction.constant(0.0, 2), g_floor=0.5)
+    op = OperatorL(coeffs=co, A=TraceClassOperator([0.5, 0.25]))
+    quad = QuadratureSpec(backend="gauss_hermite", nodes_per_dim=16)
+    u = GridField.from_function([(-8.0, 8.0)] * 2, 256, lambda x: np.cos(x[:, 0]) * np.cos(x[:, 1]))
+    table = 16 * 256**2 * 4 * 12
+    monkeypatch.setattr(engine, "_TAP_TABLE_BYTES", table - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(engine.TapTableError, match=f"take {table} bytes"):
+            engine._Step(op, 1.0 / 32, u, quad, "cubic")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 256**2 * 8
+    monkeypatch.setattr(engine, "_TAP_TABLE_BYTES", table)
+    assert isinstance(engine._Step(op, 1.0 / 32, u, quad, "cubic").factors[0], engine._LineTaps)
+
+
 def test_compiled_step_is_the_lie_product_when_g_varies_along_a_later_axis():
     # g = 1 + sin(x2)/2 changes along axis 2, which is filtered after the axis-1 factor,
     # so the factors do not commute: the step is their Lie product, O(tau^2) from the tensor step
@@ -407,32 +429,31 @@ def test_chernoff_checkpoint_equals_repeated_apply_s(dim):
 def test_norm_bound_examples():
     op = const_op(g=1.0, c=0.0)
     one = field_1d(lambda x: np.ones(x.shape[0]))
-    ratio, bound = norm_bound_check(op, 0.3, one, GH)
+    (ratio,), bound = norm_bound_check(op, 0.3, [one], GH)
     assert ratio == pytest.approx(1.0, abs=1e-12)
     assert bound == pytest.approx(1.0)
 
     opc = const_op(g=1.0, c=-1.0, contractive=True)
-    ratio, bound = norm_bound_check(opc, 0.3, one, GH)
+    (ratio,), bound = norm_bound_check(opc, 0.3, [one], GH)
     assert ratio == pytest.approx(math.exp(-0.3), rel=1e-12)
     assert ratio <= bound + 1e-8
 
     cos = field_1d(lambda x: np.cos(x[:, 0]))
-    ratio, _ = norm_bound_check(opc, 0.3, cos, GH)
+    (ratio,), _ = norm_bound_check(opc, 0.3, [cos], GH)
     assert ratio <= 1 + 1e-8
 
     zero = field_1d(lambda x: np.zeros(x.shape[0]))
     with pytest.raises(ValueError):
-        norm_bound_check(op, 0.3, zero, GH)
+        norm_bound_check(op, 0.3, [zero], GH)
 
 
 def test_norm_bound_random_fields_with_drift():
     op = const_op(g=1.0, b=[1.0], c=-1.0, q=(0.5,), contractive=True)
     rng = np.random.default_rng(1)
-    for _ in range(5):
-        vals = rng.uniform(-1.0, 1.0, 256)
-        u = GridField(bounds=((-4.0, 4.0),), values=vals)
-        ratio, bound = norm_bound_check(op, 0.2, u, GH)
-        assert ratio <= bound + 1e-8
+    fields = [GridField(bounds=((-4.0, 4.0),), values=rng.uniform(-1.0, 1.0, 256)) for _ in range(5)]
+    ratios, bound = norm_bound_check(op, 0.2, fields, GH)
+    assert ratios.shape == (5,)
+    assert np.all(ratios <= bound + 1e-8)
     assert bound == pytest.approx(math.exp((2 * 0.5 * 1.0 + 1.0) * 0.2), rel=1e-12)
 
 
@@ -589,7 +610,7 @@ def test_chernoff_empty_interior_is_a_truncation_error():
     with pytest.raises(TruncationError, match=r"margin 1\.34.*spacing 6"):
         chernoff_solve(plan, u0)
     with pytest.raises(TruncationError, match="no grid point"):
-        coefficient_continuity_probe(op, op, plan, u0)
+        coefficient_continuity_probe(op, [op], plan, u0)
 
 
 # ---------------------------------------------------------------- continuity
@@ -615,17 +636,17 @@ def test_continuity_probe_identical_ops():
     op = variable_g_op()
     u0 = field_1d(lambda x: np.cos(x[:, 0]), half=8.4, pts=256)
     plan = ChernoffPlan(t_final=0.5, steps=8, quad=GH, op=op)
-    assert coefficient_continuity_probe(op, op, plan, u0) < 1e-12
+    assert coefficient_continuity_probe(op, [op], plan, u0)[0] < 1e-12
 
 
 def test_continuity_probe_monotone_in_g():
     op0 = variable_g_op()
     u0 = field_1d(lambda x: np.cos(x[:, 0]), half=8.4, pts=256)
     plan = ChernoffPlan(t_final=0.5, steps=8, quad=GH, op=op0)
-    gaps = [
-        coefficient_continuity_probe(op0, variable_g_op(delta_g=d), plan, u0)
-        for d in (1e-1, 1e-2, 1e-3)
-    ]
+    perturbed = [variable_g_op(delta_g=d) for d in (1e-1, 1e-2, 1e-3)]
+    gaps = coefficient_continuity_probe(op0, perturbed, plan, u0)
+    # one call per perturbation measures the same gaps, bit for bit
+    assert gaps == [coefficient_continuity_probe(op0, [op], plan, u0)[0] for op in perturbed]
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] < 1e-2
 
@@ -634,10 +655,7 @@ def test_continuity_probe_monotone_in_c():
     op0 = variable_g_op()
     u0 = field_1d(lambda x: np.cos(x[:, 0]), half=8.4, pts=256)
     plan = ChernoffPlan(t_final=0.5, steps=8, quad=GH, op=op0)
-    gaps = [
-        coefficient_continuity_probe(op0, variable_g_op(delta_c=d), plan, u0)
-        for d in (1e-1, 1e-2, 1e-3)
-    ]
+    gaps = coefficient_continuity_probe(op0, [variable_g_op(delta_c=d) for d in (1e-1, 1e-2, 1e-3)], plan, u0)
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] < 1e-2
 
@@ -648,7 +666,7 @@ def test_continuity_probe_rejects_drift():
     u0 = field_1d(lambda x: np.cos(x[:, 0]), half=8.4, pts=256)
     plan = ChernoffPlan(t_final=0.5, steps=8, quad=GH, op=op0)
     with pytest.raises(ValueError):
-        coefficient_continuity_probe(op0, op_drift, plan, u0)
+        coefficient_continuity_probe(op0, [op_drift], plan, u0)
 
 
 def test_continuity_probe_requires_nonpositive_c_and_steps_divisible_by_4():
@@ -656,14 +674,14 @@ def test_continuity_probe_requires_nonpositive_c_and_steps_divisible_by_4():
     u0 = field_1d(lambda x: np.cos(x[:, 0]), half=8.4, pts=256)
     plan = ChernoffPlan(t_final=0.5, steps=8, quad=GH, op=op0)
     growing = const_op(g=1.0, c=0.2, q=(0.5,))
-    with pytest.raises(ValueError, match=r"requires C <= 0 \(op_j violates it\)"):
-        coefficient_continuity_probe(op0, growing, plan, u0)
+    with pytest.raises(ValueError, match=r"requires C <= 0 \(perturbed\[1\] violates it\)"):
+        coefficient_continuity_probe(op0, [op0, growing], plan, u0)
     # a constant C <= 0 passes without the contractive flag
     decaying = const_op(g=1.0, c=-0.2, q=(0.5,))
-    assert coefficient_continuity_probe(op0, decaying, plan, u0) > 0.0
+    assert coefficient_continuity_probe(op0, [decaying], plan, u0)[0] > 0.0
     six = ChernoffPlan(t_final=0.5, steps=6, quad=GH, op=op0)
     with pytest.raises(ValueError, match="steps divisible by 4"):
-        coefficient_continuity_probe(op0, op0, six, u0)
+        coefficient_continuity_probe(op0, [op0], six, u0)
 
 
 def test_plan_validation():

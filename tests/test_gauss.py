@@ -344,6 +344,26 @@ def test_mc_estimates_do_not_depend_on_the_block_size(monkeypatch):
         assert mc_estimates(cases, quad_mc) == reference
 
 
+@pytest.mark.parametrize("block", [7, None])
+def test_mc_estimates_blocks_do_not_leak_between_cases(monkeypatch, block):
+    # points arrive as views of one reused buffer; an integrand that writes into them, here
+    # over every column, must not change what a later block or case receives
+    if block is not None:
+        monkeypatch.setattr(gauss, "_BLOCK", block)
+    quad_mc = QuadratureSpec(backend="monte_carlo", samples=50, rng_seed=3)
+
+    def scribbler(y):
+        vals = y[:, 0] * y[:, 2]
+        y[:] = np.nan
+        return vals
+
+    spec3 = GaussianSpec(np.array([0.1, 0.2, 0.3]), 1.0, TraceClassOperator([1.0, 0.5, 0.25]))
+    cases = [(scribbler, spec3)] + _row_local_cases() + [(scribbler, spec3)]
+    shared = mc_estimates(cases, quad_mc)
+    assert shared == [mc_estimates([case], quad_mc)[0] for case in cases]
+    assert shared[0] == shared[-1]
+
+
 def test_mc_estimates_check_every_block(monkeypatch):
     monkeypatch.setattr(gauss, "_BLOCK", 7)
     quad_mc = QuadratureSpec(backend="monte_carlo", samples=50, rng_seed=3)

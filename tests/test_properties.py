@@ -162,3 +162,25 @@ def test_node_sum_does_not_depend_on_the_chunk_size(case):
             patch.setattr(engine, "_GATHER_ELEMENTS", budget)
             sums.append(_one_step_values(case.op, case.tau, evaluator, pts, case.quad))
     assert np.max(np.abs(sums[0] - sums[1])) <= 1e-13 * (1.0 + u.sup_norm)
+
+
+@PROPERTY
+@given(cases())
+def test_only_per_point_taps_count_against_the_tap_table_budget(case):
+    # with no budget at all, a step whose factors are all shared taps or per-line stencils
+    # still builds; one that needs per-point taps is refused before any per-point table exists
+    u = case.field(np.zeros(case.shape))
+    lines = []  # lines of every _LineTaps built: 1 for shared taps, more for per-point taps
+    line_taps = engine._LineTaps
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_LineTaps", lambda idx, *args: lines.append(idx.shape[2]) or line_taps(idx, *args))
+        engine._Step(case.op, case.tau, u, case.quad, case.interpolation)
+        per_point = any(n > 1 for n in lines)
+        lines.clear()
+        patch.setattr(engine, "_TAP_TABLE_BYTES", 0)
+        if per_point:
+            with pytest.raises(engine.TapTableError):
+                engine._Step(case.op, case.tau, u, case.quad, case.interpolation)
+        else:
+            engine._Step(case.op, case.tau, u, case.quad, case.interpolation)
+    assert all(n == 1 for n in lines)
