@@ -17,16 +17,21 @@ bounds must exceed the region of interest by the accumulated margin
 6 sqrt(2 t g_max q_1) (plus t q_1 B_0 under drift); assertions apply to
 interior points only.
 
+Fields are read through their cubic (or linear) spline, and a read past the edge takes
+the edge coefficient.  boundary_mode "constant" is the same rule on the field extended
+by _PAD cells of boundary_value, so its spline still passes through the edge nodes.
+
 On a grid S_tau is linear and the same at every step, so one step object per
 chernoff_solve (and per apply_S call), _Step, serves both backends: it checks the
 geometry and computes the grid points and per-point factors once.  Gauss-Hermite
-node sums are fixed as one 1D factor per axis, built once per grid line rather than
-once per point wherever the coefficients allow it.  For K nodes per axis, lines of n
-points and M grid points, shared taps take K n (order + 1) * 12 bytes, a per-line
-stencil 8 bytes per line and grid offset it reaches (about 2 s z_max / dx + order + 1
-offsets), and per-point taps K M (order + 1) * 12 bytes, refused (TapTableError) above
-_TAP_TABLE_BYTES.  Monte Carlo draws fresh nodes at every step (Philox stream k-1) and
-sums them by _node_sum, as tangency_residual does.
+node sums are fixed as one linear map per axis, its node and drift weights folded into
+its spline taps when it is built, once per grid line rather than once per point wherever
+the coefficients allow it.  For K nodes per axis, lines of n points and M grid points,
+shared taps take K n (order + 1) * 12 bytes, a per-line stencil 8 bytes per line and grid
+offset it reaches (about 2 s z_max / dx + order + 1 offsets), and per-point taps
+K M (order + 1) * 12 bytes, refused (TapTableError) above _TAP_TABLE_BYTES.  Monte Carlo
+draws fresh nodes at every step (Philox stream k-1) and sums them by _node_sum, as
+tangency_residual does.
 """
 
 from __future__ import annotations
@@ -58,6 +63,9 @@ __all__ = [
 
 _ORDERS = {"linear": 1, "cubic": 3}
 _BOUNDARY_MODES = ("clamp", "constant")
+# cells of boundary_value that extend a "constant" field at each end before its spline prefilter:
+# the prefilter's influence decays as (2 - sqrt 3)^k per cell, and 0.268^28 < 1e-15
+_PAD = 28
 _POINTS_MESSAGE = "points_per_axis must be the same on every axis and at least 2"
 # field values gathered at once by the per-node step: K M of them for K nodes and M points
 _GATHER_ELEMENTS = 4_000_000
@@ -163,18 +171,16 @@ class GridField:
         return mask
 
     def sample(self, points: np.ndarray, interpolation: str = "cubic") -> np.ndarray:
-        """Interpolated values at an (m, dim) array of points, honoring boundary_mode."""
+        """Interpolated values at an (m, dim) array of points.
+
+        The spline passes through every node, and a read past the edge takes the edge
+        coefficient.  With boundary_mode "constant" the spline is fitted to the field
+        extended by _PAD cells of boundary_value, so it passes through boundary_value at
+        each of those cells, and through the field's own values at its edge nodes."""
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.dim:
             raise ValueError(f"points must be an (m, {self.dim}) array, got shape {points.shape}")
         return _FieldEvaluator(self, interpolation)(points)
-
-
-def _spline_mode(fld: GridField) -> tuple[str, float]:
-    """scipy.ndimage mode and cval that realize the field's boundary_mode."""
-    if fld.boundary_mode == "clamp":
-        return "nearest", 0.0
-    return "grid-constant", fld.boundary_value
 
 
 class _FieldEvaluator:
@@ -182,18 +188,19 @@ class _FieldEvaluator:
 
     def __init__(self, fld: GridField, interpolation: str):
         self.order = _spline_order(interpolation)
-        self.mode, self.cval = _spline_mode(fld)
+        self.pad = _PAD if fld.boundary_mode == "constant" else 0
         self.coeffs = fld.values
+        if self.pad:
+            self.coeffs = np.pad(self.coeffs, self.pad, constant_values=fld.boundary_value)
         if self.order > 1:
-            self.coeffs = ndi.spline_filter(fld.values, order=self.order, mode=self.mode, output=np.float64)
+            self.coeffs = ndi.spline_filter(self.coeffs, order=self.order, mode="nearest", output=np.float64)
         self.lo = np.array([lo for lo, _ in fld.bounds])
         self.dx = np.array(fld.spacings)
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         idx = (pts - self.lo) / self.dx
-        return ndi.map_coordinates(
-            self.coeffs, idx.T, order=self.order, mode=self.mode, cval=self.cval, prefilter=False
-        )
+        idx += self.pad
+        return ndi.map_coordinates(self.coeffs, idx.T, order=self.order, mode="nearest", prefilter=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,7 +293,7 @@ def _spline_taps(idx: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
 
     Bit for bit what scipy.ndimage.map_coordinates computes (prefilter=False) at the same
     index: taps floor(idx) - order // 2 ... + order, the last weight by the sum rule.
-    Taps may lie past the edge; _edge_index says which coefficient each one reads.
+    Taps may lie past the edge, where mode "nearest" reads the edge coefficient.
     """
     base = np.floor(idx)
     cols = base.astype(np.intp)[..., None] + (np.arange(order + 1, dtype=np.intp) - order // 2)
@@ -306,70 +313,53 @@ def _spline_taps(idx: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     return cols, w
 
 
-def _edge_index(cols: np.ndarray, size: int, mode: str) -> np.ndarray:
-    """Coefficient each tap at grid index cols reads, in place: past the edge, the edge one
-    ("nearest") or, for "grid-constant", a padding cell holding cval, so indices address the
-    coefficients padded by one cell at each end."""
-    if mode == "nearest":
-        return np.clip(cols, 0, size - 1, out=cols)
-    np.clip(cols, -1, size, out=cols)
-    cols += 1
-    return cols
-
-
 class _LineTaps:
-    """Axis factor as spline taps at every node: one CSR row per node and point of a line.
+    """Axis factor as weighted spline taps: one CSR row per grid point of a line.
 
     Maps coefficients arranged (padded size, L), one grid line along the axis per column, to
-    node sums (size, L).  Node indices idx are (K, size, 1) when the taps are the same on
-    every line, one (K size x padded size) block applied to all columns at once, or
-    (K, size, L) for one block per line, where the tap at coefficient j of line r is column
-    j L + r of the raveled coefficients.  Columns are intp, since 4-axis grids can pass 2^31
-    cells; scipy stores them in int32 when they fit.  drift is the weight e^{beta s z_k},
-    shaped like idx.
+    node sums (size, L).  Node indices idx are (size, 1, K) when the taps are the same on every
+    line, one (size x padded size) block applied to all columns at once, or (size, L, K) for
+    one block per line, where the tap at coefficient j of line r is column j L + r of the
+    raveled coefficients.  Each row holds the K (order + 1) taps of its point, each times its
+    node weight and drift weight.  Columns are intp, since 4-axis grids can pass 2^31 cells; scipy stores
+    them in int32 when they fit.
     """
 
-    def __init__(self, idx: np.ndarray, drift: Optional[np.ndarray], weights: np.ndarray, order: int, mode: str):
-        _, self.size, self.lines = idx.shape
-        self.drift, self.weights = drift, weights
-        padded = self.size + 2 if mode == "grid-constant" else self.size
+    def __init__(self, idx: np.ndarray, weights: np.ndarray, order: int, padded: int):
+        self.size, self.lines, nodes = idx.shape
         cols, w = _spline_taps(idx, order)
-        cols = _edge_index(cols, self.size, mode)
+        w *= weights[..., None]
+        np.clip(cols, 0, padded - 1, out=cols)
         cols *= self.lines
-        cols += np.arange(self.lines, dtype=np.intp)[:, None]
+        cols += np.arange(self.lines, dtype=np.intp)[:, None, None]
         self.matrix = sp.csr_matrix(
-            (w.ravel(), cols.ravel(), np.arange(0, w.size + 1, order + 1, dtype=np.intp)),
-            shape=(w.size // (order + 1), padded * self.lines),
+            (w.ravel(), cols.ravel(), np.arange(0, w.size + 1, nodes * (order + 1), dtype=np.intp)),
+            shape=(self.size * self.lines, padded * self.lines),
         )
 
     def __call__(self, coeffs: np.ndarray) -> np.ndarray:
         lines = coeffs.shape[1]
         # one shared block multiplies the coefficient matrix; a single column stays a matvec
-        node_vals = self.matrix @ (coeffs if self.lines < lines else coeffs.ravel())
-        node_vals = node_vals.reshape(self.weights.size, self.size, lines)
-        if self.drift is not None:
-            node_vals = node_vals * self.drift
-        return (self.weights @ node_vals.reshape(self.weights.size, -1)).reshape(self.size, lines)
+        return (self.matrix @ (coeffs if self.lines < lines else coeffs.ravel())).reshape(self.size, lines)
 
 
 class _LineStencil:
     """Axis factor whose scale and tilt are constant along each line: one kernel per line.
 
-    Line r's nodes sit at the same offsets s_r z_k from every point, so its taps, drift
-    weights and node weights fold into one kernel over grid offsets lo .. lo + width - 1,
-    applied as a banded convolution on the coefficients extended past the edge.
+    Line r's nodes sit at the same offsets s_r z_k from every point, so its taps and weighted
+    node weights fold into one kernel over grid offsets lo .. lo + width - 1, applied as a
+    banded convolution on the coefficients extended past the edge.
     """
 
-    def __init__(self, rel: np.ndarray, drift: Optional[np.ndarray], weights: np.ndarray, order: int, size: int,
-                 mode: str):
+    def __init__(self, rel: np.ndarray, weights: np.ndarray, order: int, size: int, pad: int):
         lines = rel.shape[0]
         cols, w = _spline_taps(rel, order)  # (L, K, order + 1) taps at node offsets rel = s_r z_k / dx
-        w *= weights[:, None] if drift is None else (drift * weights)[:, :, None]
+        w *= weights[..., None]
         lo = int(cols.min())
         self.width = int(cols.max()) - lo + 1
         cols += (np.arange(lines, dtype=np.intp) * self.width - lo)[:, None, None]
         self.kernel = np.bincount(cols.ravel(), w.ravel(), minlength=lines * self.width).reshape(lines, self.width)
-        self.index = _edge_index(np.arange(lo, lo + size + self.width - 1, dtype=np.intp), size, mode)
+        self.index = np.clip(np.arange(lo + pad, lo + pad + size + self.width - 1), 0, size + 2 * pad - 1)
 
     def __call__(self, coeffs: np.ndarray) -> np.ndarray:
         extended = np.take(coeffs.T, self.index, axis=1)  # C-ordered, unlike coeffs.T[:, index]
@@ -385,29 +375,35 @@ def _lines(a: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _axis_factor(x: np.ndarray, scale: np.ndarray, tilt: Optional[np.ndarray], nodes: np.ndarray,
-                 weights: np.ndarray, lo: float, dx: float, order: int, mode: str):
-    """Factor along the axis with coordinates x, for scale and tilt given per line (_lines).
+                 weights: np.ndarray, lo: float, dx: float, order: int, pad: int):
+    """Factor along the axis with coordinates x, for scale and tilt given per line (_lines), on
+    coefficients padded by `pad` cells at each end.
 
     Its form follows them: one block of taps for every line when they are the same on each
     line, a folded stencil per line when they are constant along each line, and taps per
     point otherwise; those are refused with TapTableError, before any is computed, when
-    they would take more than _TAP_TABLE_BYTES.
+    they would take more than _TAP_TABLE_BYTES.  The drift weight e^{beta s z_k} is folded
+    into the node weights here, once.
     """
     per_line = (scale,) if tilt is None else (scale, tilt)
     if all(np.all(a == a[:, :1]) for a in per_line):
         scale, tilt = scale[:, :1], None if tilt is None else tilt[:, :1]
     elif all(np.all(a == a[:1]) for a in per_line):
-        drift = None if tilt is None else np.exp(np.outer(tilt[0], nodes) * scale[0][:, None])
-        return _LineStencil(np.outer(scale[0], nodes) / dx, drift, weights, order, x.size, mode)
+        scale, tilt = scale[0], None if tilt is None else tilt[0]  # one value per line
     elif (table := nodes.size * scale.size * (order + 1) * 12) > _TAP_TABLE_BYTES:
         raise TapTableError(
             f"per-point taps along one axis would take {table} bytes, more than the budget of "
             f"{_TAP_TABLE_BYTES}; use fewer points or nodes, or coefficients constant along or "
             "across the axis"
         )
-    z = nodes[:, None, None]
-    drift = None if tilt is None else np.exp(z * tilt * scale)
-    return _LineTaps((x[:, None] + scale * z - lo) / dx, drift, weights, order, mode)
+    offset = scale[..., None] * nodes
+    if tilt is not None:
+        weights = weights * np.exp(tilt[..., None] * nodes * scale[..., None])
+    if scale.ndim == 1:
+        return _LineStencil(offset / dx, weights, order, x.size, pad)
+    idx = (x[:, None, None] + offset - lo) / dx
+    idx += pad
+    return _LineTaps(idx, weights, order, x.size + 2 * pad)
 
 
 class _Step:
@@ -418,25 +414,28 @@ class _Step:
     prefactor.  Monte Carlo draws a fresh node set from Philox stream `stream` at every call,
     then prefilters the field and interpolates it at the nodes (_node_sum).
 
-    Gauss-Hermite node sums are fixed, one factor per axis.  A is diagonal, so the step
-    moves points one axis at a time: factor i is the spline prefilter along axis i, the
-    spline taps at the nodes x + sqrt(2 tau g(x) q_i) z_k e_i of the 1D rule gaussian_nodes
-    gives for q_i, the drift weight e^{beta_i s sqrt(q_i) z_k} and the node sum.  Its form
-    is picked from the scale s and tilt beta_i along axis i alone (_axis_factor):
+    Gauss-Hermite node sums are fixed, one linear factor per axis.  A is diagonal, so the
+    step moves points one axis at a time: factor i is the spline prefilter along axis i and
+    the spline taps at the nodes x + sqrt(2 tau g(x) q_i) z_k e_i of the 1D rule
+    gaussian_nodes gives for q_i, each weighted by its node weight times the drift weight
+    e^{beta_i s sqrt(q_i) z_k}.  Its form is picked from the scale s and tilt beta_i along
+    axis i alone (_axis_factor):
       (a) the same on every line along axis i (always in 1D, and on axis 1 when the
-          coefficients depend on x_1 only): one CSR block of taps, K n x n for lines of n
-          points, multiplies the coefficients arranged one line per column;
+          coefficients depend on x_1 only): one CSR block, n x n for lines of n points with
+          K (order + 1) taps per row, multiplies the coefficients arranged one line per column;
       (b) constant along each line and different between lines (axes 2.. when the
-          coefficients depend on x_1 only): each line folds its taps, drift weights and
-          node weights into one kernel, applied as a banded convolution;
+          coefficients depend on x_1 only): each line folds its weighted taps into one
+          kernel, applied as a banded convolution;
       (c) otherwise: taps per point, (a) with one block per line.
-    In 1D this is _node_sum's own summation, so results are bit-identical to it (while
-    K M <= 4e6, where it sums all nodes at once).  In d >= 2 the factors' product is the
-    tensor step, up to rounding, when g depends on x_1 only and B_j on x_1 .. x_j only, so
-    that no factor's weights change along the axes filtered after it; otherwise it is their
-    Lie product, O(tau^2) per step from it and still first order (Chernoff 1968).  With
-    boundary_mode "constant", reads past the edge along axis i see what factors 0 .. i-1
-    make of the constant boundary_value field; its edge slabs are built once.
+    In 1D this agrees with _node_sum's per-node summation up to rounding (2e-15 on fields of
+    size 1).  In d >= 2 the factors' product is the tensor step, up to rounding, when g
+    depends on x_1 only and B_j on x_1 .. x_j only, so that no factor's weights change along
+    the axes filtered after it; otherwise it is their Lie product, O(tau^2) per step from it
+    and still first order (Chernoff 1968).  Every read past the edge takes the edge
+    coefficient.  With boundary_mode "constant", factor i first extends its input by _PAD
+    cells along axis i at each end, holding what factors 0 .. i-1 make of the constant
+    boundary_value field (its edge slabs are built once), as _FieldEvaluator extends the
+    field by boundary_value.
     """
 
     def __init__(self, op: OperatorL, tau: float, grid: GridField, quad: QuadratureSpec, interpolation: str):
@@ -459,37 +458,35 @@ class _Step:
             self.pts, self.scale, self.tilt = pts, scale, tilt
             return
 
-        self.mode, self.cval = _spline_mode(grid)
+        pad = _PAD if grid.boundary_mode == "constant" else 0
         self.shape = grid.values.shape
         scale = scale.reshape(self.shape)
         self.factors = []
         for i, ((lo, _), dx, x) in enumerate(zip(grid.bounds, grid.spacings, grid.axes)):
             zc, weights = gaussian_nodes(quad, op.q[i : i + 1])  # the same weights on every axis
             tilt_i = None if tilt is None else _lines(tilt[:, i].reshape(self.shape), i)
-            self.factors.append(
-                _axis_factor(x, _lines(scale, i), tilt_i, zc[:, 0], weights, lo, dx, self.order, self.mode)
-            )
+            self.factors.append(_axis_factor(x, _lines(scale, i), tilt_i, zc[:, 0], weights, lo, dx, self.order, pad))
 
         self.edges = []
-        if self.mode == "grid-constant":
-            exterior = np.full(self.shape, self.cval)
+        if pad:
+            exterior = np.full(self.shape, grid.boundary_value)
             for i in range(grid.dim):
-                self.edges.append((exterior.take([0], axis=i), exterior.take([-1], axis=i)))
+                self.edges.append(tuple(np.repeat(exterior.take([j], axis=i), pad, axis=i) for j in (0, -1)))
                 if i + 1 < grid.dim:
                     exterior = self._factor(i, exterior)
 
-    def _factor(self, i: int, coeffs: np.ndarray) -> np.ndarray:
-        """Axis-i factor on coefficients already prefiltered along axis i."""
+    def _factor(self, i: int, values: np.ndarray) -> np.ndarray:
+        """Axis-i factor: extend along axis i (constant mode), prefilter along it, take the taps."""
         if self.edges:
-            coeffs = np.concatenate((self.edges[i][0], coeffs, self.edges[i][1]), axis=i)
-        return self.factors[i](_lines(coeffs, i)).reshape(self.shape).swapaxes(0, i)
+            values = np.concatenate((self.edges[i][0], values, self.edges[i][1]), axis=i)
+        if self.order > 1:
+            values = ndi.spline_filter1d(values, order=self.order, axis=i, mode="nearest", output=np.float64)
+        return self.factors[i](_lines(values, i)).reshape(self.shape).swapaxes(0, i)
 
     def __call__(self, u: GridField, stream: tuple) -> GridField:
         if self.gauss_hermite:
             values = u.values
             for i in range(len(self.shape)):
-                if self.order > 1:
-                    values = ndi.spline_filter1d(values, order=self.order, axis=i, mode=self.mode, output=np.float64)
                 values = self._factor(i, values)
             node_sum = values.ravel()
         else:

@@ -18,8 +18,9 @@ together with the scale identity  E_{tA}[f] = E_A[f(sqrt(t) y)]  for t > 0.
 Numerical backends: tensor-product Gauss-Hermite (physicists' convention,
 E_{N(0,v)} f ~= sum_k (w_k/sqrt(pi)) f(sqrt(2 v) x_k)) for dimension <= 4,
 and Monte Carlo driven by a counter-based Philox generator keyed by rng_seed.
-gaussian_nodes builds the node set of N(0, diag v) for either backend; the
-integrators here and the grid step in engine both take their nodes from it.
+gaussian_nodes builds the node set of N(0, diag v) for either backend; integrate
+and the grid step in engine take their nodes from it, while mc_estimates reads
+its one shared standard normal draw from the Philox stream directly.
 
 Evaluators are vectorized: an integrand receives an (m, n) array of points
 and must return an (m,) array of values.  A row's value must depend on that row
@@ -282,9 +283,9 @@ def _evaluate(f: Evaluator, pts: np.ndarray) -> np.ndarray:
 def mc_estimates(cases, quad: QuadratureSpec) -> list[tuple[float, float]]:
     """Monte Carlo mean and standard error of E[f] for each (f, GaussianSpec) pair in cases.
 
-    One draw of quad.samples rows, as wide as the widest spec, serves every case: a case of
-    dimension d reads its first samples*d normals, which are exactly the normals a fresh
-    (samples, d) draw from the same stream gives.  Each case scales and shifts its points
+    One draw of quad.samples standard normal rows from stream () of rng_seed, as wide as the
+    widest spec, serves every case: a case of dimension d reads its first samples*d normals,
+    which are exactly the normals a fresh (samples, d) draw from the same stream gives.  Each case scales and shifts its points
     _BLOCK rows at a time, one column at a time into one reused (width, _BLOCK) buffer whose
     transpose the integrand receives, and takes its moments over all samples at once."""
     if quad.backend != "monte_carlo":
@@ -294,7 +295,7 @@ def mc_estimates(cases, quad: QuadratureSpec) -> list[tuple[float, float]]:
         return []
     n = quad.samples
     width = max(spec.dim for _, spec in cases)
-    z = gaussian_nodes(quad, np.ones(width))[0].ravel()
+    z = philox_generator(quad.rng_seed).standard_normal((n, width)).ravel()
     buf = np.empty((width, min(n, _BLOCK)))
     out = []
     for f, spec in cases:

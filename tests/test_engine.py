@@ -85,10 +85,14 @@ def test_from_function_requires_an_integer_point_count(points):
 
 
 def test_gridfield_sample_reproduces_nodes():
-    f = field_1d(lambda x: np.sin(x[:, 0]) + 0.3 * np.cos(2 * x[:, 0]), pts=128)
-    pts = f.meshpoints()
-    for kind in ("cubic", "linear"):
-        assert_allclose(f.sample(pts, interpolation=kind), f.values.ravel(), atol=1e-10)
+    # in constant mode the spline fits the field extended by boundary_value, so it still
+    # passes through the edge nodes, which differ from boundary_value here
+    for mode, value in (("clamp", 0.0), ("constant", 0.0), ("constant", 1.0)):
+        f = field_1d(lambda x: np.sin(x[:, 0]) + 0.3 * np.cos(2 * x[:, 0]), pts=128, boundary_mode=mode,
+                     boundary_value=value)
+        pts = f.meshpoints()
+        for kind in ("cubic", "linear"):
+            assert_allclose(f.sample(pts, interpolation=kind), f.values.ravel(), atol=1e-10)
 
 
 def test_gridfield_sample_accuracy_between_nodes():
@@ -125,6 +129,18 @@ def test_gridfield_interior_mask():
 
 
 # ---------------------------------------------------------------- apply_S
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("mode", ["clamp", "constant"])
+def test_apply_s_at_vanishing_tau_is_the_identity(dim, mode):
+    # S(0) = I, at the edge nodes too: as tau -> 0 every node sits on its grid point, where
+    # the spline returns the field's value; tau L u adds about 1e-10 at the constant-mode edge
+    u = GridField.from_function([(-3.0, 3.0)] * dim, 64, lambda x: 2.0 + np.prod(np.cos(x), axis=1),
+                                boundary_mode=mode, boundary_value=0.0)
+    op = const_op(q=(0.5, 0.25)[:dim])
+    quad = QuadratureSpec(backend="gauss_hermite", nodes_per_dim=8)
+    assert np.max(np.abs(apply_S(op, 1e-12, u, quad).values - u.values)) <= 1e-9
 
 
 def test_apply_s_mass_preservation():
@@ -261,9 +277,6 @@ def test_compiled_step_matches_per_node_reference(dim, interpolation, mode, drif
     ref = _one_step_values(op, tau, _FieldEvaluator(u, interpolation), u.meshpoints(), quad)
     out = apply_S(op, tau, u, quad, interpolation).values.ravel()
     assert np.max(np.abs(out - ref)) <= 1e-13
-    if dim == 1:
-        # 1D keeps the per-node summation order
-        assert np.array_equal(out, ref)
 
 
 @pytest.mark.parametrize("budget", [1 << 16, 64])
@@ -316,6 +329,24 @@ def test_building_the_step_holds_no_per_point_tables():
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+@pytest.mark.parametrize("mode", ["clamp", "constant"])
+def test_applying_the_step_makes_no_array_per_node(mode):
+    # the node and drift weights are folded into the taps when the step is built, so an
+    # application holds a few field-sized arrays, not the K M node values of one axis
+    op = x1_drift_op(2)
+    quad = QuadratureSpec(backend="gauss_hermite", nodes_per_dim=8)
+    u = GridField.from_function([(-8.0, 8.0)] * 2, 256, lambda x: np.cos(x[:, 0]) * np.cos(x[:, 1]),
+                                boundary_mode=mode, boundary_value=0.5)
+    step = engine._Step(op, 1.0 / 32, u, quad, "cubic")
+    tracemalloc.start()
+    try:
+        step(u, ())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 256**2 * 8
 
 
 def test_per_point_taps_past_the_budget_are_refused_before_any_is_computed(monkeypatch):

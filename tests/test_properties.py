@@ -173,7 +173,7 @@ def test_only_per_point_taps_count_against_the_tap_table_budget(case):
     lines = []  # lines of every _LineTaps built: 1 for shared taps, more for per-point taps
     line_taps = engine._LineTaps
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(engine, "_LineTaps", lambda idx, *args: lines.append(idx.shape[2]) or line_taps(idx, *args))
+        patch.setattr(engine, "_LineTaps", lambda idx, *args: lines.append(idx.shape[1]) or line_taps(idx, *args))
         engine._Step(case.op, case.tau, u, case.quad, case.interpolation)
         per_point = any(n > 1 for n in lines)
         lines.clear()
