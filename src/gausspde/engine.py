@@ -6,10 +6,14 @@ The step with coefficients (g, B, C) and diagonal A = diag(q) is
                    * Integral u(x + y) e^{<B(x)/(2 g(x)), y>} dmu_{2 tau g(x) A}(y),
 
 which is tangent to (L u)(x) = g(x) sum_i q_i u_ii + sum_i q_i B_i(x) u_i + C(x) u
-as tau -> 0 and reduces to plain Gaussian smoothing times e^{tau C} when B = 0.
-The measure is evaluated through the substitution y = sqrt(2 tau g(x)) z with
-z ~ N(0, diag q): gauss.gaussian_nodes owns the node set, shared by all points
-of one application, and _step_coefficients the per-point factors.
+as tau -> 0.  Completing the square moves the exponential weight into the Gaussian's
+mean, and its factor e^{tau <A B, B>/(4 g)} cancels the prefactor's:
+
+    (S_tau u)(x) = e^{tau C(x)} E[u(x + tau A B(x) + sqrt(2 tau g(x)) Z)],  Z ~ N(0, diag q).
+
+That is the form evaluated here: gauss.gaussian_nodes owns the node set z_k of Z, shared
+by all points of one application, and _step_coefficients the per-point scale, shift and
+prefactor, so the nodes of x sit at x + tau A B(x) + sqrt(2 tau g(x)) z_k.
 
 Solutions of u'_t = L u are approximated by (S_{t/n})^n u0 on a truncated
 grid: each step smooths over a Gaussian of scale sqrt(2 tau g q_1), so grid
@@ -24,9 +28,9 @@ by _PAD cells of boundary_value, so its spline still passes through the edge nod
 On a grid S_tau is linear and the same at every step, so one step object per
 chernoff_solve (and per apply_S call), _Step, serves both backends: it checks the
 geometry and computes the grid points and per-point factors once.  Gauss-Hermite
-node sums are fixed as one linear map per axis, its node and drift weights folded into
-its spline taps when it is built, once per grid line rather than once per point wherever
-the coefficients allow it.  For K nodes per axis, lines of n points and M grid points,
+node sums are fixed as one linear map per axis, its node weights folded into its spline
+taps when it is built, once per grid line rather than once per point wherever the
+coefficients allow it.  For K nodes per axis, lines of n points and M grid points,
 shared taps take K n (order + 1) * 12 bytes, a per-line stencil 8 bytes per line and grid
 offset it reaches (about 2 s z_max / dx + order + 1 offsets), and per-point taps
 K M (order + 1) * 12 bytes, refused (TapTableError) above _TAP_TABLE_BYTES.  Monte Carlo
@@ -39,7 +43,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.ndimage as ndi
@@ -239,31 +243,24 @@ def _margin(op: OperatorL, t: float) -> float:
 
 
 def _step_coefficients(op: OperatorL, tau: float, pts: np.ndarray):
-    """Per-point factors of S_tau at pts: scale sqrt(2 tau g), drift tilt B/(2g) (None without
-    drift) and prefactor e^{tau C - tau <A B, B>/(4 g)}."""
+    """Per-point factors of S_tau at pts: scale sqrt(2 tau g), node shift tau q_i B_i on each
+    axis i (zero without drift) and prefactor e^{tau C}."""
     co = op.coeffs
-    g = co.g_at(pts)
-    c = co.c_at(pts)
     b = co.b_at(pts)
-    scale = np.sqrt(2.0 * tau * g)
-    if b is None:
-        return scale, None, np.exp(tau * c)
-    return scale, b / (2.0 * g)[:, None], np.exp(tau * c - tau * ((b * b) @ op.q) / (4.0 * g))
+    shift = np.zeros(pts.shape) if b is None else tau * b * op.q
+    return np.sqrt(2.0 * tau * co.g_at(pts)), shift, np.exp(tau * co.c_at(pts))
 
 
-def _node_sum(eval_fn: Callable[[np.ndarray], np.ndarray], pts: np.ndarray, scale: np.ndarray,
-              tilt: Optional[np.ndarray], nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_k w_k f(x + s(x) z_k) e^{s(x) <tilt(x), z_k>} at pts, for a node set z_k of N(0, diag q)."""
-    m, n = pts.shape
+def _node_sum(eval_fn: Callable[[np.ndarray], np.ndarray], centres: np.ndarray, scale: np.ndarray,
+              nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_k w_k f(c_j + s_j z_k) at each centre c_j with its scale s_j, for a node set z_k of N(0, diag q)."""
+    m, n = centres.shape
     acc = np.zeros(m)
     chunk = max(1, _GATHER_ELEMENTS // m)
     for k0 in range(0, nodes.shape[0], chunk):
         zc = nodes[k0 : k0 + chunk]
-        pos = pts[None, :, :] + scale[None, :, None] * zc[:, None, :]
-        vals = eval_fn(pos.reshape(-1, n)).reshape(zc.shape[0], m)
-        if tilt is not None:
-            vals = vals * np.exp(np.einsum("mn,kn->km", tilt, zc) * scale[None, :])
-        acc += weights[k0 : k0 + chunk] @ vals
+        pos = centres[None, :, :] + scale[None, :, None] * zc[:, None, :]
+        acc += weights[k0 : k0 + chunk] @ eval_fn(pos.reshape(-1, n)).reshape(zc.shape[0], m)
     return acc
 
 
@@ -284,8 +281,8 @@ def _one_step_values(
     stream: tuple = (),
 ) -> np.ndarray:
     """(S_tau f)(x) at the given points, f supplied as a vectorized evaluator."""
-    scale, tilt, prefactor = _step_coefficients(op, tau, pts)
-    return _prefactored(prefactor, _node_sum(eval_fn, pts, scale, tilt, *gaussian_nodes(quad, op.q, stream)))
+    scale, shift, prefactor = _step_coefficients(op, tau, pts)
+    return _prefactored(prefactor, _node_sum(eval_fn, pts + shift, scale, *gaussian_nodes(quad, op.q, stream)))
 
 
 def _spline_taps(idx: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -321,8 +318,8 @@ class _LineTaps:
     line, one (size x padded size) block applied to all columns at once, or (size, L, K) for
     one block per line, where the tap at coefficient j of line r is column j L + r of the
     raveled coefficients.  Each row holds the K (order + 1) taps of its point, each times its
-    node weight and drift weight.  Columns are intp, since 4-axis grids can pass 2^31 cells; scipy stores
-    them in int32 when they fit.
+    node weight, so it sums to 1.  Columns are intp, since 4-axis grids can pass 2^31 cells;
+    scipy stores them in int32 when they fit.
     """
 
     def __init__(self, idx: np.ndarray, weights: np.ndarray, order: int, padded: int):
@@ -344,16 +341,16 @@ class _LineTaps:
 
 
 class _LineStencil:
-    """Axis factor whose scale and tilt are constant along each line: one kernel per line.
+    """Axis factor whose scale and shift are constant along each line: one kernel per line.
 
-    Line r's nodes sit at the same offsets s_r z_k from every point, so its taps and weighted
-    node weights fold into one kernel over grid offsets lo .. lo + width - 1, applied as a
-    banded convolution on the coefficients extended past the edge.
+    Line r's nodes sit at the same offsets shift_r + s_r z_k from every point, so its taps and
+    node weights fold into one kernel over grid offsets lo .. lo + width - 1, summing to 1,
+    applied as a banded convolution on the coefficients extended past the edge.
     """
 
     def __init__(self, rel: np.ndarray, weights: np.ndarray, order: int, size: int, pad: int):
         lines = rel.shape[0]
-        cols, w = _spline_taps(rel, order)  # (L, K, order + 1) taps at node offsets rel = s_r z_k / dx
+        cols, w = _spline_taps(rel, order)  # (L, K, order + 1) taps at node offsets (shift_r + s_r z_k) / dx
         w *= weights[..., None]
         lo = int(cols.min())
         self.width = int(cols.max()) - lo + 1
@@ -374,31 +371,28 @@ def _lines(a: np.ndarray, axis: int) -> np.ndarray:
     return a.swapaxes(0, axis).reshape(a.shape[axis], -1)
 
 
-def _axis_factor(x: np.ndarray, scale: np.ndarray, tilt: Optional[np.ndarray], nodes: np.ndarray,
+def _axis_factor(x: np.ndarray, scale: np.ndarray, shift: np.ndarray, nodes: np.ndarray,
                  weights: np.ndarray, lo: float, dx: float, order: int, pad: int):
-    """Factor along the axis with coordinates x, for scale and tilt given per line (_lines), on
-    coefficients padded by `pad` cells at each end.
+    """Factor along the axis with coordinates x, for scale and shift given per line (_lines), on
+    coefficients padded by `pad` cells at each end: the spline taps at the nodes
+    x + shift + scale z_k, each times its node weight.
 
-    Its form follows them: one block of taps for every line when they are the same on each
-    line, a folded stencil per line when they are constant along each line, and taps per
-    point otherwise; those are refused with TapTableError, before any is computed, when
-    they would take more than _TAP_TABLE_BYTES.  The drift weight e^{beta s z_k} is folded
-    into the node weights here, once.
+    Its form follows scale and shift: one block of taps for every line when they are the same
+    on each line, a folded stencil per line when they are constant along each line, and taps
+    per point otherwise; those are refused with TapTableError, before any is computed, when
+    they would take more than _TAP_TABLE_BYTES.
     """
-    per_line = (scale,) if tilt is None else (scale, tilt)
-    if all(np.all(a == a[:, :1]) for a in per_line):
-        scale, tilt = scale[:, :1], None if tilt is None else tilt[:, :1]
-    elif all(np.all(a == a[:1]) for a in per_line):
-        scale, tilt = scale[0], None if tilt is None else tilt[0]  # one value per line
+    if np.all(scale == scale[:, :1]) and np.all(shift == shift[:, :1]):
+        scale, shift = scale[:, :1], shift[:, :1]
+    elif np.all(scale == scale[:1]) and np.all(shift == shift[:1]):
+        scale, shift = scale[0], shift[0]  # one value per line
     elif (table := nodes.size * scale.size * (order + 1) * 12) > _TAP_TABLE_BYTES:
         raise TapTableError(
             f"per-point taps along one axis would take {table} bytes, more than the budget of "
             f"{_TAP_TABLE_BYTES}; use fewer points or nodes, or coefficients constant along or "
             "across the axis"
         )
-    offset = scale[..., None] * nodes
-    if tilt is not None:
-        weights = weights * np.exp(tilt[..., None] * nodes * scale[..., None])
+    offset = shift[..., None] + scale[..., None] * nodes
     if scale.ndim == 1:
         return _LineStencil(offset / dx, weights, order, x.size, pad)
     idx = (x[:, None, None] + offset - lo) / dx
@@ -416,10 +410,9 @@ class _Step:
 
     Gauss-Hermite node sums are fixed, one linear factor per axis.  A is diagonal, so the
     step moves points one axis at a time: factor i is the spline prefilter along axis i and
-    the spline taps at the nodes x + sqrt(2 tau g(x) q_i) z_k e_i of the 1D rule
-    gaussian_nodes gives for q_i, each weighted by its node weight times the drift weight
-    e^{beta_i s sqrt(q_i) z_k}.  Its form is picked from the scale s and tilt beta_i along
-    axis i alone (_axis_factor):
+    the spline taps at the nodes x + tau q_i B_i(x) e_i + sqrt(2 tau g(x) q_i) z_k e_i of the
+    1D rule gaussian_nodes gives for q_i, each weighted by its node weight.  Its form is
+    picked from the scale s and shift tau q_i B_i along axis i alone (_axis_factor):
       (a) the same on every line along axis i (always in 1D, and on axis 1 when the
           coefficients depend on x_1 only): one CSR block, n x n for lines of n points with
           K (order + 1) taps per row, multiplies the coefficients arranged one line per column;
@@ -432,10 +425,9 @@ class _Step:
     depends on x_1 only and B_j on x_1 .. x_j only, so that no factor's weights change along
     the axes filtered after it; otherwise it is their Lie product, O(tau^2) per step from it
     and still first order (Chernoff 1968).  Every read past the edge takes the edge
-    coefficient.  With boundary_mode "constant", factor i first extends its input by _PAD
-    cells along axis i at each end, holding what factors 0 .. i-1 make of the constant
-    boundary_value field (its edge slabs are built once), as _FieldEvaluator extends the
-    field by boundary_value.
+    coefficient.  Node and tap weights each sum to 1, so every factor maps a constant to
+    itself; with boundary_mode "constant", factor i therefore extends its input by _PAD cells
+    of boundary_value along axis i at each end, as _FieldEvaluator extends the field.
     """
 
     def __init__(self, op: OperatorL, tau: float, grid: GridField, quad: QuadratureSpec, interpolation: str):
@@ -452,33 +444,28 @@ class _Step:
                 )
         self.gauss_hermite = quad.backend == "gauss_hermite"
         pts = grid.meshpoints()
-        scale, tilt, self.prefactor = _step_coefficients(op, tau, pts)
+        scale, shift, self.prefactor = _step_coefficients(op, tau, pts)
         if not self.gauss_hermite:
             self.interpolation, self.quad, self.q = interpolation, quad, op.q
-            self.pts, self.scale, self.tilt = pts, scale, tilt
+            self.centres, self.scale = pts + shift, scale
             return
 
-        pad = _PAD if grid.boundary_mode == "constant" else 0
+        self.pad = _PAD if grid.boundary_mode == "constant" else 0
+        self.boundary_value = grid.boundary_value
         self.shape = grid.values.shape
         scale = scale.reshape(self.shape)
         self.factors = []
         for i, ((lo, _), dx, x) in enumerate(zip(grid.bounds, grid.spacings, grid.axes)):
             zc, weights = gaussian_nodes(quad, op.q[i : i + 1])  # the same weights on every axis
-            tilt_i = None if tilt is None else _lines(tilt[:, i].reshape(self.shape), i)
-            self.factors.append(_axis_factor(x, _lines(scale, i), tilt_i, zc[:, 0], weights, lo, dx, self.order, pad))
-
-        self.edges = []
-        if pad:
-            exterior = np.full(self.shape, grid.boundary_value)
-            for i in range(grid.dim):
-                self.edges.append(tuple(np.repeat(exterior.take([j], axis=i), pad, axis=i) for j in (0, -1)))
-                if i + 1 < grid.dim:
-                    exterior = self._factor(i, exterior)
+            shift_i = _lines(shift[:, i].reshape(self.shape), i)
+            factor = _axis_factor(x, _lines(scale, i), shift_i, zc[:, 0], weights, lo, dx, self.order, self.pad)
+            self.factors.append(factor)
 
     def _factor(self, i: int, values: np.ndarray) -> np.ndarray:
         """Axis-i factor: extend along axis i (constant mode), prefilter along it, take the taps."""
-        if self.edges:
-            values = np.concatenate((self.edges[i][0], values, self.edges[i][1]), axis=i)
+        if self.pad:
+            widths = [(self.pad, self.pad) if j == i else (0, 0) for j in range(values.ndim)]
+            values = np.pad(values, widths, constant_values=self.boundary_value)
         if self.order > 1:
             values = ndi.spline_filter1d(values, order=self.order, axis=i, mode="nearest", output=np.float64)
         return self.factors[i](_lines(values, i)).reshape(self.shape).swapaxes(0, i)
@@ -490,7 +477,7 @@ class _Step:
                 values = self._factor(i, values)
             node_sum = values.ravel()
         else:
-            node_sum = _node_sum(_FieldEvaluator(u, self.interpolation), self.pts, self.scale, self.tilt,
+            node_sum = _node_sum(_FieldEvaluator(u, self.interpolation), self.centres, self.scale,
                                  *gaussian_nodes(self.quad, self.q, stream))
         return dataclasses.replace(u, values=_prefactored(self.prefactor, node_sum).reshape(u.values.shape))
 

@@ -185,6 +185,20 @@ def test_apply_s_drift_closed_form():
     assert np.max(np.abs(out.values[mask] - ref)) < 1e-6
 
 
+def test_apply_s_2d_drift_closed_form():
+    # each axis has its own shift tau q_i b_i:
+    # S_tau cos(x1) cos(x2) = e^{tau c} e^{-tau g (q1 + q2)} cos(x1 + tau q1 b1) cos(x2 + tau q2 b2)
+    g, b, c, q, tau = 1.2, (0.8, -0.5), -0.4, (0.5, 0.25), 0.2
+    op = const_op(g=g, b=b, c=c, q=q)
+    quad = QuadratureSpec(backend="gauss_hermite", nodes_per_dim=16)
+    u = GridField.from_function([(-math.pi - 3.0, math.pi + 3.0)] * 2, 128, lambda x: np.cos(x[:, 0]) * np.cos(x[:, 1]))
+    out = apply_S(op, tau, u, quad).values.ravel()
+    mask = u.interior_mask(ChernoffPlan(t_final=tau, steps=1, quad=quad, op=op).required_margin()).ravel()
+    x = u.meshpoints()[mask]
+    ref = math.exp(tau * c - tau * g * sum(q)) * np.prod(np.cos(x + tau * np.multiply(q, b)), axis=1)
+    assert np.max(np.abs(out[mask] - ref)) < 1e-6
+
+
 def test_apply_s_2d_product_solution():
     op = const_op(g=1.0, c=0.0, q=(0.5, 0.25))
     quad = QuadratureSpec(backend="gauss_hermite", nodes_per_dim=16)
@@ -312,6 +326,20 @@ def test_per_line_stencils_fold_the_drift_weight(dim, interpolation, mode):
     assert all(isinstance(factor, engine._LineStencil) for factor in step.factors[1:])
     ref = _one_step_values(op, 0.4, _FieldEvaluator(u, interpolation), u.meshpoints(), quad)
     assert np.max(np.abs(step(u, ()).values.ravel() - ref)) <= 1e-13
+
+
+def test_building_a_constant_mode_step_applies_no_factor(monkeypatch):
+    # every factor maps boundary_value to itself, so its padding cells are boundary_value and
+    # no factor has to be run over a constant field when the step is built
+    calls = []
+    factor = engine._Step._factor
+    monkeypatch.setattr(engine._Step, "_factor", lambda self, i, values: calls.append(i) or factor(self, i, values))
+    quad = QuadratureSpec(backend="gauss_hermite", nodes_per_dim=4)
+    u = rough_field(3, 10, 3.0, boundary_mode="constant", boundary_value=0.75)
+    step = engine._Step(variable_op(3, drift=True), 0.3, u, quad, "cubic")
+    assert calls == []
+    step(u, ())
+    assert calls == [0, 1, 2]
 
 
 def test_building_the_step_holds_no_per_point_tables():

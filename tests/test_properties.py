@@ -63,8 +63,8 @@ def _wave(draw, dim, x1_only):
 
 
 @st.composite
-def cases(draw, drift=True, c_nonpositive=False, modes=("clamp", "constant"), interpolations=("cubic", "linear"),
-          max_dim=3):
+def cases(draw, drift=True, always_drift=False, c_nonpositive=False, modes=("clamp", "constant"),
+          interpolations=("cubic", "linear"), max_dim=3):
     dim = draw(st.sampled_from(range(1, max_dim + 1)))
     # coefficients of x1 alone give the grid step's shared taps on axis 1 and per-line stencils
     # on the later axes; waves along every axis give per-point taps
@@ -83,7 +83,7 @@ def cases(draw, drift=True, c_nonpositive=False, modes=("clamp", "constant"), in
     else:
         c = CylFunction(dim=dim, eval=lambda x: c0 + ca * wc(x), sup_bound=abs(c0) + ca)
     B = None
-    if drift and draw(st.booleans()):
+    if always_drift or (drift and draw(st.booleans())):
         B = []
         for _ in range(dim):
             b, wb = draw(st.floats(-1.0, 1.0)), _wave(draw, dim, x1_only)
@@ -135,6 +135,15 @@ def test_step_maps_one_to_exp_tau_c_without_drift(case):
 
 
 @PROPERTY
+@given(cases(always_drift=True))
+def test_step_maps_one_to_exp_tau_c_with_drift(case):
+    # the drift shifts the nodes and leaves their weights alone, so a constant stays constant
+    one = case.field(np.ones(case.shape), boundary_value=1.0)
+    expected = np.exp(case.tau * case.op.coeffs.C(one.meshpoints())).reshape(case.shape)
+    assert np.all(np.abs(case.step(one) - expected) <= 1e-12 * expected)
+
+
+@PROPERTY
 @given(cases(interpolations=("linear",)))
 def test_linear_step_is_positive(case):
     values = np.maximum(case.rng.standard_normal(case.shape), 0.0)
@@ -144,6 +153,14 @@ def test_linear_step_is_positive(case):
 @PROPERTY
 @given(cases(drift=False, c_nonpositive=True, modes=("clamp",), interpolations=("linear",)))
 def test_linear_step_is_a_sup_norm_contraction_without_drift_for_nonpositive_c(case):
+    u = case.field(case.rng.standard_normal(case.shape))
+    assert np.max(np.abs(case.step(u))) <= u.sup_norm * (1.0 + 1e-12)
+
+
+@PROPERTY
+@given(cases(always_drift=True, c_nonpositive=True, interpolations=("linear",)))
+def test_linear_step_is_a_sup_norm_contraction_with_drift_for_nonpositive_c(case):
+    # linear taps and node weights are nonnegative and sum to 1 wherever the drift puts the nodes
     u = case.field(case.rng.standard_normal(case.shape))
     assert np.max(np.abs(case.step(u))) <= u.sup_norm * (1.0 + 1e-12)
 
