@@ -427,7 +427,8 @@ class _Step:
     and still first order (Chernoff 1968).  Every read past the edge takes the edge
     coefficient.  Node and tap weights each sum to 1, so every factor maps a constant to
     itself; with boundary_mode "constant", factor i therefore extends its input by _PAD cells
-    of boundary_value along axis i at each end, as _FieldEvaluator extends the field.
+    of boundary_value along axis i at each end, as _FieldEvaluator extends the field, in a
+    buffer per axis built with the step and prefiltered in place.
     """
 
     def __init__(self, op: OperatorL, tau: float, grid: GridField, quad: QuadratureSpec, interpolation: str):
@@ -453,6 +454,11 @@ class _Step:
         self.pad = _PAD if grid.boundary_mode == "constant" else 0
         self.boundary_value = grid.boundary_value
         self.shape = grid.values.shape
+        # constant mode: per axis, the field extended by _PAD cells along it, prefiltered in place
+        self.padded = [
+            np.empty(tuple(n + 2 * self.pad * (j == i) for j, n in enumerate(self.shape)))
+            for i in range(len(self.shape) if self.pad else 0)
+        ]
         scale = scale.reshape(self.shape)
         self.factors = []
         for i, ((lo, _), dx, x) in enumerate(zip(grid.bounds, grid.spacings, grid.axes)):
@@ -463,11 +469,16 @@ class _Step:
 
     def _factor(self, i: int, values: np.ndarray) -> np.ndarray:
         """Axis-i factor: extend along axis i (constant mode), prefilter along it, take the taps."""
+        output = np.float64
         if self.pad:
-            widths = [(self.pad, self.pad) if j == i else (0, 0) for j in range(values.ndim)]
-            values = np.pad(values, widths, constant_values=self.boundary_value)
+            # the in-place prefilter overwrites the slabs too, so every call sets them again
+            output, ext = self.padded[i], self.padded[i].swapaxes(0, i)
+            ext[: self.pad] = self.boundary_value
+            ext[-self.pad :] = self.boundary_value
+            ext[self.pad : -self.pad] = values.swapaxes(0, i)
+            values = output
         if self.order > 1:
-            values = ndi.spline_filter1d(values, order=self.order, axis=i, mode="nearest", output=np.float64)
+            values = ndi.spline_filter1d(values, order=self.order, axis=i, mode="nearest", output=output)
         return self.factors[i](_lines(values, i)).reshape(self.shape).swapaxes(0, i)
 
     def __call__(self, u: GridField, stream: tuple) -> GridField:

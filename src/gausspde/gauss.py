@@ -19,16 +19,17 @@ Numerical backends: tensor-product Gauss-Hermite (physicists' convention,
 E_{N(0,v)} f ~= sum_k (w_k/sqrt(pi)) f(sqrt(2 v) x_k)) for dimension <= 4,
 and Monte Carlo driven by a counter-based Philox generator keyed by rng_seed.
 gaussian_nodes builds the node set of N(0, diag v) for either backend; integrate
-and the grid step in engine take their nodes from it, while mc_estimates reads
-its one shared standard normal draw from the Philox stream directly.
+and the grid step in engine take their nodes from it, while mc_estimates makes
+one pass over one shared stream of standard normals from Philox directly.
 
 Evaluators are vectorized: an integrand receives an (m, n) array of points
 and must return an (m,) array of values.  A row's value must depend on that row
 only: Monte Carlo points arrive in blocks of at most _BLOCK rows, so one
 estimate may take several calls, and mc_estimates serves all of its cases from
-one shared draw.  Those blocks are (m, n) views with contiguous columns, not C
-order: elementwise integrands give the same bits on any layout, but a matmul
-such as y @ z may move in the last bits, since BLAS takes another path.
+one pass over one shared stream.  Those blocks are (m, n) views with contiguous
+columns, not C order: elementwise integrands give the same bits on any layout,
+but a matmul such as y @ z may move in the last bits, since BLAS takes another
+path.
 """
 
 from __future__ import annotations
@@ -64,9 +65,13 @@ GH_MAX_DIM = 4
 
 Evaluator = Callable[[np.ndarray], np.ndarray]
 
-# Monte Carlo rows scaled, shifted and evaluated at once: bounds the point arrays
-# held beside the one shared draw of an mc_estimates call
+# standard normals drawn, and Monte Carlo rows scaled, shifted and evaluated, at once: bounds
+# the stream chunk and the point buffer of an mc_estimates call
 _BLOCK = 1 << 16
+# values per case whose moments mc_estimates takes at once (1 MiB) and merges into the case's
+# running moments; fixed, so that a case's estimate depends neither on _BLOCK nor on the other
+# cases of its call
+_SEGMENT = 1 << 17
 
 
 class IntegrandError(ValueError):
@@ -280,14 +285,69 @@ def _evaluate(f: Evaluator, pts: np.ndarray) -> np.ndarray:
     return vals
 
 
+class _Moments:
+    """Count, mean and centred sum of squares of one case's values, fed in any pieces.
+
+    Values collect in a buffer of _SEGMENT; each full or final segment's mean and sum of squares
+    are taken in place with the numpy operations of vals.mean() and vals.std(), then merged into
+    the running ones by the pairwise update of Chan, Golub and LeVeque (1979).  The first
+    segment sets them directly, so up to _SEGMENT values the moments are numpy's own."""
+
+    def __init__(self, size: int):
+        self.segment = np.empty(size)
+        self.filled = 0
+        self.count, self.mean, self.m2 = 0, 0.0, 0.0
+
+    def add(self, vals: np.ndarray):
+        lo = 0
+        while lo < vals.size:
+            m = min(vals.size - lo, self.segment.size - self.filled)
+            self.segment[self.filled : self.filled + m] = vals[lo : lo + m]
+            self.filled += m
+            lo += m
+            if self.filled == self.segment.size:
+                self._merge()
+
+    def _merge(self):
+        seg, m = self.segment[: self.filled], self.filled
+        mean = float(seg.mean())
+        np.subtract(seg, mean, out=seg)
+        np.square(seg, out=seg)
+        m2 = float(seg.sum())
+        if self.count:
+            total = self.count + m
+            delta = mean - self.mean
+            self.mean += delta * (m / total)
+            self.m2 += m2 + delta * delta * (self.count * m / total)
+            self.count = total
+        else:
+            self.count, self.mean, self.m2 = m, mean, m2
+        self.filled = 0
+
+    def estimate(self) -> tuple[float, float]:
+        """Mean and standard error sqrt(var(ddof=1) / count); inf for a single value."""
+        if self.filled:
+            self._merge()
+        n = self.count
+        return self.mean, (math.sqrt(self.m2 / (n - 1)) / math.sqrt(n) if n > 1 else math.inf)
+
+
 def mc_estimates(cases, quad: QuadratureSpec) -> list[tuple[float, float]]:
     """Monte Carlo mean and standard error of E[f] for each (f, GaussianSpec) pair in cases.
 
-    One draw of quad.samples standard normal rows from stream () of rng_seed, as wide as the
-    widest spec, serves every case: a case of dimension d reads its first samples*d normals,
-    which are exactly the normals a fresh (samples, d) draw from the same stream gives.  Each case scales and shifts its points
-    _BLOCK rows at a time, one column at a time into one reused (width, _BLOCK) buffer whose
-    transpose the integrand receives, and takes its moments over all samples at once."""
+    One pass over stream () of rng_seed serves every case: quad.samples rows of standard normals
+    as wide as the widest spec, drawn in chunks of at most _BLOCK normals, which equal one large
+    draw.  A case of dimension d reads row r from normals [r d, (r + 1) d) of the stream, exactly
+    the normals a fresh (samples, d) draw from it gives; the at most width - 1 trailing normals
+    of a chunk that start an unfinished row are carried into the next.  Each case scales and
+    shifts its new rows one column at a time into one reused (width, _BLOCK) buffer, whose
+    transpose the integrand receives, and feeds the values to its own _Moments: segments of
+    _SEGMENT values, each merged into running moments.  Memory is O(_BLOCK width + cases
+    _SEGMENT), whatever quad.samples is.  Consequently, for row-local integrands:
+      - up to _SEGMENT samples, mean and standard error are bit-identical to numpy's vals.mean()
+        and vals.std(ddof=1) / sqrt(samples) over all values at once;
+      - they never depend on _BLOCK or on which other cases share the call;
+      - past one segment they differ from those full-sample moments by about 1e-16 relative."""
     if quad.backend != "monte_carlo":
         raise ValueError("mc_estimates requires a monte_carlo QuadratureSpec")
     cases = list(cases)
@@ -295,23 +355,34 @@ def mc_estimates(cases, quad: QuadratureSpec) -> list[tuple[float, float]]:
         return []
     n = quad.samples
     width = max(spec.dim for _, spec in cases)
-    z = philox_generator(quad.rng_seed).standard_normal((n, width)).ravel()
+    total = n * width
+    stream = philox_generator(quad.rng_seed)
+    z = np.empty(width - 1 + min(total, _BLOCK))  # normals [start, end) of the stream
     buf = np.empty((width, min(n, _BLOCK)))
-    out = []
-    for f, spec in cases:
-        d = spec.dim
-        pts = z[: n * d].reshape(n, d)
-        sd = np.sqrt(spec.variances)
-        vals = np.empty(n)
-        for lo in range(0, n, _BLOCK):
-            m = min(_BLOCK, n - lo)
+    sds = [np.sqrt(spec.variances) for _, spec in cases]
+    moments = [_Moments(min(n, _SEGMENT)) for _ in cases]
+    done = [0] * len(cases)  # rows each case has evaluated
+    start = end = 0
+    while end < total:
+        keep = min(width - 1, end - start)  # every unfinished row starts in the last width - 1
+        z[:keep] = z[end - start - keep : end - start]
+        start = end - keep
+        c = min(_BLOCK, total - end)
+        z[keep : keep + c] = stream.standard_normal(c)
+        end += c
+        for k, (f, spec) in enumerate(cases):
+            d = spec.dim
+            lo, hi = done[k], min(n, end // d)
+            if hi == lo:
+                continue
+            m = hi - lo
+            pts = z[lo * d - start : hi * d - start].reshape(m, d)
             for j in range(d):
-                np.multiply(pts[lo : lo + m, j], sd[j], out=buf[j, :m])
+                np.multiply(pts[:, j], sds[k][j], out=buf[j, :m])
                 buf[j, :m] += spec.mean[j]
-            vals[lo : lo + m] = _evaluate(f, buf[:d, :m].T)
-        se = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
-        out.append((float(vals.mean()), se))
-    return out
+            moments[k].add(_evaluate(f, buf[:d, :m].T))
+            done[k] = hi
+    return [acc.estimate() for acc in moments]
 
 
 def mc_estimate(f: Evaluator, spec: GaussianSpec, quad: QuadratureSpec) -> tuple[float, float]:

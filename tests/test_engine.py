@@ -1,5 +1,6 @@
 """One-step Gaussian-integral operator S_tau and its iteration on grids."""
 
+import dataclasses
 import functools
 import math
 import tracemalloc
@@ -340,6 +341,20 @@ def test_building_a_constant_mode_step_applies_no_factor(monkeypatch):
     assert calls == []
     step(u, ())
     assert calls == [0, 1, 2]
+
+
+@pytest.mark.parametrize("interpolation", ["cubic", "linear"])
+def test_constant_mode_step_keeps_no_state_between_calls(interpolation):
+    # the padded buffers are reused by every call: a step that has just been applied to u
+    # gives for v exactly what a fresh step gives
+    quad = QuadratureSpec(backend="gauss_hermite", nodes_per_dim=8)
+    op = x1_drift_op(2)
+    u = rough_field(2, 24, 3.0, boundary_mode="constant", boundary_value=0.75)
+    v = dataclasses.replace(u, values=np.cos(u.values) - 2.0)
+    step = engine._Step(op, 0.4, u, quad, interpolation)
+    step(u, ())
+    fresh = engine._Step(op, 0.4, u, quad, interpolation)(v, ())
+    assert step(v, ()).values.tobytes() == fresh.values.tobytes()
 
 
 def test_building_the_step_holds_no_per_point_tables():

@@ -3,6 +3,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from gausspde import gauss
-from gausspde.battery import _check_gaussian_identities
+from gausspde.battery import _check_gaussian_identities, _identity_cases
 from gausspde.config import load_config
 from gausspde.gauss import (
     GaussianSpec,
@@ -401,3 +402,83 @@ def test_gaussian_identities_row_draws_once(monkeypatch):
     config = dataclasses.replace(config, quadrature=QuadratureSpec(backend="gauss_hermite", samples=1000, rng_seed=3))
     _check_gaussian_identities(config)
     assert drawn == [3 * 1000]
+
+
+# ---------------------------------------------------------------- mc_estimates across segments
+
+
+def _full_sample_moments(cases, quad_mc):
+    """numpy's mean and std(ddof=1) / sqrt(samples) over every value of a fresh draw per case."""
+    out = []
+    for f, spec in cases:
+        z = philox_generator(quad_mc.rng_seed).standard_normal((quad_mc.samples, spec.dim))
+        vals = f(z * np.sqrt(spec.variances) + spec.mean)
+        out.append((vals.mean(), vals.std(ddof=1) / math.sqrt(quad_mc.samples)))
+    return out
+
+
+def _assert_close_to(estimates, reference):
+    for (mean, se), (ref_mean, ref_se) in zip(estimates, reference, strict=True):
+        assert abs(mean - ref_mean) <= 1e-13 * abs(ref_mean)
+        assert abs(se - ref_se) <= 1e-13 * ref_se
+
+
+@pytest.mark.parametrize("segment", [7, 1024])
+def test_mc_estimates_merge_segments(monkeypatch, segment):
+    # many segments, the last one partial: the merged moments stay within 1e-13 of numpy's
+    # full-sample ones, and are exact functions of the case alone, whatever the blocking
+    monkeypatch.setattr(gauss, "_SEGMENT", segment)
+    quad_mc = QuadratureSpec(backend="monte_carlo", samples=70_001, rng_seed=20260814)
+    cases = _row_local_cases()
+    reference = mc_estimates(cases, quad_mc)
+    _assert_close_to(reference, _full_sample_moments(cases, quad_mc))
+    assert [mc_estimates([case], quad_mc)[0] for case in cases] == reference
+    for block in (1, 7):
+        monkeypatch.setattr(gauss, "_BLOCK", block)
+        assert mc_estimates(cases, quad_mc) == reference
+
+
+def test_mc_estimates_span_several_default_segments():
+    quad_mc = QuadratureSpec(backend="monte_carlo", samples=3 * gauss._SEGMENT + 12345, rng_seed=5)
+    cases = _row_local_cases()
+    _assert_close_to(mc_estimates(cases, quad_mc), _full_sample_moments(cases, quad_mc))
+
+
+def test_mc_estimates_draw_the_stream_in_chunks(monkeypatch):
+    # chunks of at most _BLOCK normals cover the draw once; rows that straddle two chunks (a
+    # width of 3 does not divide 7) read the normals carried over from the earlier one
+    monkeypatch.setattr(gauss, "_SEGMENT", 1024)
+    quad_mc = QuadratureSpec(backend="monte_carlo", samples=5000, rng_seed=3)
+    cases = _row_local_cases()
+    reference = mc_estimates(cases, quad_mc)
+    drawn = []
+
+    class Counting:
+        def __init__(self, gen):
+            self._gen = gen
+
+        def standard_normal(self, size):
+            drawn.append(size)
+            return self._gen.standard_normal(size)
+
+    monkeypatch.setattr(gauss, "philox_generator", lambda *a, **k: Counting(philox_generator(*a, **k)))
+    monkeypatch.setattr(gauss, "_BLOCK", 7)
+    assert mc_estimates(cases, quad_mc) == reference
+    assert max(drawn) <= 7
+    assert sum(drawn) == 5000 * 3
+
+
+def test_mc_estimates_memory_does_not_grow_with_samples():
+    # the battery's nine cases: segments, chunk and point buffer, none of them a whole draw
+    cases = [(f, spec) for f, spec, _ in _identity_cases()]
+    peaks = []
+    for samples in (1_000_000, 2_000_000):
+        quad_mc = QuadratureSpec(backend="monte_carlo", samples=samples, rng_seed=1)
+        tracemalloc.start()
+        try:
+            mc_estimates(cases, quad_mc)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 16e6
+    assert abs(peaks[1] - peaks[0]) < 1e6
