@@ -20,7 +20,7 @@ runtime_ms column.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 runtime/engine error.  --threads is accepted for compatibility; execution
-is vectorized and single-process.
+is vectorized and single-process.  A --threads below 1 is a usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -123,6 +123,17 @@ def _cmd_verify(config: ExperimentConfig, out) -> bool:
 # ------------------------------------------------------------------ entry point
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for --threads: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gausspde",
@@ -141,7 +152,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override the quadrature rng seed")
         p.add_argument(
             "--threads",
-            type=int,
+            type=_positive_int,
             default=None,
             help="worker count hint; execution is vectorized, the value is not used",
         )

@@ -24,16 +24,20 @@ interior points only.
 Fields are read through their cubic (or linear) spline, and a read past the edge takes
 the edge coefficient.  boundary_mode "constant" is the same rule on the field extended
 by _PAD cells of boundary_value, so its spline still passes through the edge nodes.
+The spline passes through every node at every line length: clamp lines under _SHORT_LINE
+points are prefiltered by an exact solve (_short_prefilter), since scipy's is not exact there.
 
 On a grid S_tau is linear and the same at every step, so one step object per
 chernoff_solve (and per apply_S call), _Step, serves both backends: it checks the
-geometry and computes the grid points and per-point factors once.  Gauss-Hermite
-node sums are fixed as one linear map per axis, its node weights folded into its spline
-taps when it is built, once per grid line rather than once per point wherever the
-coefficients allow it.  For K nodes per axis, lines of n points and M grid points,
-shared taps take K n (order + 1) * 12 bytes, a per-line stencil 8 bytes per line and grid
-offset it reaches (about 2 s z_max / dx + order + 1 offsets), and per-point taps
-K M (order + 1) * 12 bytes, refused (TapTableError) above _TAP_TABLE_BYTES.  Monte Carlo
+geometry and computes the grid points and per-point factors once, and chernoff_solve
+iterates it on arrays, making a GridField only for checkpoints and the result.
+Gauss-Hermite node sums are fixed as one linear map per axis, its node weights folded into
+its spline taps when it is built, once per grid line rather than once per point wherever
+the coefficients allow it.  For K nodes per axis, lines of n points and M grid points,
+shared taps take at most K n (order + 1) * 12 bytes (taps on one coefficient are one
+entry), a per-line stencil 8 bytes per line and grid offset it reaches (about
+2 s z_max / dx + order + 1 offsets), and per-point taps K M (order + 1) * 12 bytes, refused
+(TapTableError) above _TAP_TABLE_BYTES.  Monte Carlo
 draws fresh nodes at every step (Philox stream k-1) and sums them by _node_sum, as
 tangency_residual does.
 """
@@ -75,6 +79,22 @@ _POINTS_MESSAGE = "points_per_axis must be the same on every axis and at least 2
 _GATHER_ELEMENTS = 4_000_000
 # bytes of one axis factor's per-point tap table, K M (order + 1) * 12, above which it is refused
 _TAP_TABLE_BYTES = 1 << 28
+# Gauss-Hermite nodes the grid step leaves out: weight below 2^-60, far under an ulp of the sum
+_NODE_WEIGHT_FLOOR = 2.0**-60
+# clamp lines shorter than this are prefiltered by an exact solve: scipy's "nearest" prefilter
+# misses the node values there (by about 1e-3 at 2 points, 3e-12 at 10, 2e-14 at 12)
+_SHORT_LINE = 16
+
+
+def _short_prefilter(values: np.ndarray, axis: int) -> np.ndarray:
+    """Cubic spline coefficients of values along `axis` whose spline passes through every node
+    when a read past the edge takes the edge coefficient: the solution of the tridiagonal
+    (1, 4, 1)/6 system with 5/6 in both corners, solved directly, for lines under _SHORT_LINE."""
+    n = values.shape[axis]
+    system = 4.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
+    system[0, 0] = system[-1, -1] = 5.0
+    lines = values.swapaxes(0, axis)
+    return np.linalg.solve(system / 6.0, lines.reshape(n, -1)).reshape(lines.shape).swapaxes(0, axis)
 
 
 def _spline_order(interpolation: str) -> int:
@@ -196,7 +216,10 @@ class _FieldEvaluator:
         self.coeffs = fld.values
         if self.pad:
             self.coeffs = np.pad(self.coeffs, self.pad, constant_values=fld.boundary_value)
-        if self.order > 1:
+        if self.order > 1 and self.coeffs.shape[0] < _SHORT_LINE:  # clamp only: constant pads by _PAD
+            for axis in range(self.coeffs.ndim):
+                self.coeffs = _short_prefilter(self.coeffs, axis)
+        elif self.order > 1:
             self.coeffs = ndi.spline_filter(self.coeffs, order=self.order, mode="nearest", output=np.float64)
         self.lo = np.array([lo for lo, _ in fld.bounds])
         self.dx = np.array(fld.spacings)
@@ -318,8 +341,10 @@ class _LineTaps:
     line, one (size x padded size) block applied to all columns at once, or (size, L, K) for
     one block per line, where the tap at coefficient j of line r is column j L + r of the
     raveled coefficients.  Each row holds the K (order + 1) taps of its point, each times its
-    node weight, so it sums to 1.  Columns are intp, since 4-axis grids can pass 2^31 cells;
-    scipy stores them in int32 when they fit.
+    node weight, so it sums to 1; taps that read the same coefficient (those of neighbouring
+    nodes, and every tap clipped to the edge) are summed into one entry, so a row names each
+    column once, in increasing order.  Columns are intp, since 4-axis grids can pass 2^31
+    cells; scipy stores them in int32 when they fit.
     """
 
     def __init__(self, idx: np.ndarray, weights: np.ndarray, order: int, padded: int):
@@ -333,6 +358,7 @@ class _LineTaps:
             (w.ravel(), cols.ravel(), np.arange(0, w.size + 1, nodes * (order + 1), dtype=np.intp)),
             shape=(self.size * self.lines, padded * self.lines),
         )
+        self.matrix.sum_duplicates()
 
     def __call__(self, coeffs: np.ndarray) -> np.ndarray:
         lines = coeffs.shape[1]
@@ -404,18 +430,28 @@ class _Step:
     """S_tau on the geometry of one grid, as a map (field, stream) -> field for both backends.
 
     Built once per plan: __init__ checks the step against the grid and computes the grid
-    points and _step_coefficients' per-point factors; __call__ applies the node sum, then the
-    prefactor.  Monte Carlo draws a fresh node set from Philox stream `stream` at every call,
-    then prefilters the field and interpolates it at the nodes (_node_sum).
+    points and _step_coefficients' per-point factors; apply maps field values to the step's
+    values (the node sum, then the prefactor), and __call__ does the same for a GridField.
+    Monte Carlo draws a fresh node set from Philox stream `stream` at every call, then
+    prefilters the field and interpolates it at the nodes (_node_sum).
 
     Gauss-Hermite node sums are fixed, one linear factor per axis.  A is diagonal, so the
     step moves points one axis at a time: factor i is the spline prefilter along axis i and
     the spline taps at the nodes x + tau q_i B_i(x) e_i + sqrt(2 tau g(x) q_i) z_k e_i of the
-    1D rule gaussian_nodes gives for q_i, each weighted by its node weight.  Its form is
-    picked from the scale s and shift tau q_i B_i along axis i alone (_axis_factor):
+    1D rule gaussian_nodes gives for q_i, each weighted by its node weight.  Nodes of weight
+    below _NODE_WEIGHT_FLOOR = 2^-60 are left out: none for K <= 24, and for K = 32 the 4
+    outermost, 1.04e-18 of the weight, which widened every row from +-8.2 to +-10.1
+    standard deviations.  A spline is bounded by its largest coefficient, at most
+    3 ||u||_inf for cubic (the prefilter's inverse has sup-norm 3) and ||u||_inf for linear,
+    with u the factor's input (boundary_value included in constant mode), so leaving them
+    out moves a factor's output by at most 3.2e-18 ||u||_inf at K = 32.
+
+    The factor's form is picked from the scale s and shift tau q_i B_i along axis i alone
+    (_axis_factor):
       (a) the same on every line along axis i (always in 1D, and on axis 1 when the
           coefficients depend on x_1 only): one CSR block, n x n for lines of n points with
-          K (order + 1) taps per row, multiplies the coefficients arranged one line per column;
+          the distinct columns of its K (order + 1) taps in each row, multiplies the
+          coefficients arranged one line per column;
       (b) constant along each line and different between lines (axes 2.. when the
           coefficients depend on x_1 only): each line folds its weighted taps into one
           kernel, applied as a banded convolution;
@@ -444,16 +480,16 @@ class _Step:
                     f"one-step Gaussian reach {reach:.3g} exceeds domain width {hi - lo:.3g}; enlarge the grid"
                 )
         self.gauss_hermite = quad.backend == "gauss_hermite"
+        self.shape = grid.values.shape
         pts = grid.meshpoints()
         scale, shift, self.prefactor = _step_coefficients(op, tau, pts)
         if not self.gauss_hermite:
-            self.interpolation, self.quad, self.q = interpolation, quad, op.q
+            self.grid, self.interpolation, self.quad, self.q = grid, interpolation, quad, op.q
             self.centres, self.scale = pts + shift, scale
             return
 
         self.pad = _PAD if grid.boundary_mode == "constant" else 0
         self.boundary_value = grid.boundary_value
-        self.shape = grid.values.shape
         # constant mode: per axis, the field extended by _PAD cells along it, prefiltered in place
         self.padded = [
             np.empty(tuple(n + 2 * self.pad * (j == i) for j, n in enumerate(self.shape)))
@@ -463,6 +499,8 @@ class _Step:
         self.factors = []
         for i, ((lo, _), dx, x) in enumerate(zip(grid.bounds, grid.spacings, grid.axes)):
             zc, weights = gaussian_nodes(quad, op.q[i : i + 1])  # the same weights on every axis
+            kept = weights >= _NODE_WEIGHT_FLOOR
+            zc, weights = zc[kept], weights[kept]
             shift_i = _lines(shift[:, i].reshape(self.shape), i)
             factor = _axis_factor(x, _lines(scale, i), shift_i, zc[:, 0], weights, lo, dx, self.order, self.pad)
             self.factors.append(factor)
@@ -477,20 +515,24 @@ class _Step:
             ext[-self.pad :] = self.boundary_value
             ext[self.pad : -self.pad] = values.swapaxes(0, i)
             values = output
-        if self.order > 1:
+        if self.order > 1 and values.shape[i] < _SHORT_LINE:  # clamp only: constant pads by _PAD
+            values = _short_prefilter(values, i)
+        elif self.order > 1:
             values = ndi.spline_filter1d(values, order=self.order, axis=i, mode="nearest", output=output)
         return self.factors[i](_lines(values, i)).reshape(self.shape).swapaxes(0, i)
 
-    def __call__(self, u: GridField, stream: tuple) -> GridField:
+    def apply(self, values: np.ndarray, stream: tuple) -> np.ndarray:
+        """The step's values on the grid for field values `values`; chernoff_solve iterates this."""
         if self.gauss_hermite:
-            values = u.values
             for i in range(len(self.shape)):
                 values = self._factor(i, values)
-            node_sum = values.ravel()
         else:
-            node_sum = _node_sum(_FieldEvaluator(u, self.interpolation), self.centres, self.scale,
-                                 *gaussian_nodes(self.quad, self.q, stream))
-        return dataclasses.replace(u, values=_prefactored(self.prefactor, node_sum).reshape(u.values.shape))
+            evaluator = _FieldEvaluator(dataclasses.replace(self.grid, values=values), self.interpolation)
+            values = _node_sum(evaluator, self.centres, self.scale, *gaussian_nodes(self.quad, self.q, stream))
+        return _prefactored(self.prefactor, values.ravel()).reshape(self.shape)
+
+    def __call__(self, u: GridField, stream: tuple) -> GridField:
+        return dataclasses.replace(u, values=self.apply(u.values, stream))
 
 
 def apply_S(op: OperatorL, tau: float, u: GridField, quad: QuadratureSpec, interpolation: str = "cubic") -> GridField:
@@ -510,10 +552,10 @@ class ChernoffResult:
 
 def chernoff_solve(plan: ChernoffPlan, u0: GridField, checkpoint_steps: Sequence[int] = ()) -> ChernoffResult:
     """Iterate S_{t/n} n times; records sup-norms per step and optional snapshots."""
-    step_S = _Step(plan.op, plan.tau, u0, plan.quad, plan.interpolation)
     for k in checkpoint_steps:
         if not (is_integer(k) and 1 <= k <= plan.steps):
             raise ValueError(f"checkpoint step {k} outside 1..{plan.steps}")
+    step_S = _Step(plan.op, plan.tau, u0, plan.quad, plan.interpolation)
     margin = plan.required_margin()
     mask = u0.interior_mask(margin)
     if not mask.any():
@@ -526,14 +568,16 @@ def chernoff_solve(plan: ChernoffPlan, u0: GridField, checkpoint_steps: Sequence
     interior = np.empty(plan.steps)
     checkpoints: dict[int, GridField] = {}
     wanted = set(checkpoint_steps)
-    u = u0
+    values = u0.values
     for step in range(1, plan.steps + 1):
-        u = step_S(u, (step - 1,))
-        sup_norms[step - 1] = u.sup_norm
-        interior[step - 1] = float(np.max(np.abs(u.values[mask])))
+        values = step_S.apply(values, (step - 1,))
+        magnitude = np.abs(values)
+        sup_norms[step - 1] = np.max(magnitude)
+        interior[step - 1] = np.max(magnitude[mask])
         if step in wanted:
-            checkpoints[step] = u
-    return ChernoffResult(field=u, sup_norms=sup_norms, interior_sup_norms=interior, checkpoints=checkpoints)
+            checkpoints[step] = dataclasses.replace(u0, values=values)
+    field = dataclasses.replace(u0, values=values)
+    return ChernoffResult(field=field, sup_norms=sup_norms, interior_sup_norms=interior, checkpoints=checkpoints)
 
 
 def tangency_residual(op: OperatorL, phi: CylFunction, tau: float, grid, quad: QuadratureSpec) -> float:

@@ -309,6 +309,16 @@ def test_module_entry_point_runs_in_a_subprocess(tmp_path):
     assert out.exists()
 
 
+@pytest.mark.parametrize("threads", ["0", "-5", "two"])
+def test_threads_below_one_is_a_usage_error(tmp_path, capsys, threads):
+    out = tmp_path / "field.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--config", str(CONFIG_DIR / "solve_constant.json"), "--out", str(out), "--threads", threads])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_package_runs_as_a_module_without_warnings(tmp_path):
     out = tmp_path / "field.csv"
     proc = subprocess.run(

@@ -275,14 +275,18 @@ def rough_field(dim, pts, half, **kw):
     return GridField.from_function([(-half, half)] * dim, pts, fn, **kw)
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize(
+    ("dim", "nodes"),
+    [pytest.param(1, 16, id="1"), pytest.param(2, 8, id="2"), pytest.param(3, 8, id="3"),
+     pytest.param(1, 32, id="1-K32")],
+)
 @pytest.mark.parametrize("interpolation", ["cubic", "linear"])
 @pytest.mark.parametrize("mode", ["clamp", "constant"])
 @pytest.mark.parametrize("drift", [False, True])
-def test_compiled_step_matches_per_node_reference(dim, interpolation, mode, drift):
-    # g depends on x1 and B_i on x_i only, so the per-axis factors reproduce the tensor step
+def test_compiled_step_matches_per_node_reference(dim, nodes, interpolation, mode, drift):
+    # g depends on x1 and B_i on x_i only, so the per-axis factors reproduce the tensor step;
+    # at K = 32 the step leaves out the 4 nodes of weight below 2^-60, the reference keeps them
     op = variable_op(dim, drift)
-    nodes = (16, 8, 8)[dim - 1]
     quad = QuadratureSpec(backend="gauss_hermite", nodes_per_dim=nodes)
     half, tau = 3.0, 0.4
     u = rough_field(dim, (200, 24, 10)[dim - 1], half, boundary_mode=mode, boundary_value=0.75)
@@ -292,6 +296,38 @@ def test_compiled_step_matches_per_node_reference(dim, interpolation, mode, drif
     ref = _one_step_values(op, tau, _FieldEvaluator(u, interpolation), u.meshpoints(), quad)
     out = apply_S(op, tau, u, quad, interpolation).values.ravel()
     assert np.max(np.abs(out - ref)) <= 1e-13
+
+
+def test_line_taps_name_each_column_once_in_increasing_order():
+    # neighbouring nodes share spline taps, and edge rows clip many taps onto the edge column:
+    # both are folded into one entry, in the shared block (axis 1) and in per-point blocks
+    g = CylFunction(dim=2, eval=lambda x: 1.0 + 0.5 * np.sin(x[:, 0]) * np.cos(x[:, 1]), sup_bound=1.5)
+    co = Coefficients(g=g, B=None, C=CylFunction.constant(0.0, 2), g_floor=0.5)
+    per_point = OperatorL(coeffs=co, A=TraceClassOperator([0.5, 0.25]))
+    quad = QuadratureSpec(backend="gauss_hermite", nodes_per_dim=32)
+    for op, u in [(variable_op(1, drift=True), rough_field(1, 200, 3.0)), (per_point, rough_field(2, 24, 3.0))]:
+        for factor in engine._Step(op, 0.4, u, quad, "cubic").factors:
+            assert isinstance(factor, engine._LineTaps)
+            m = factor.matrix
+            starts = np.zeros(m.nnz, dtype=bool)
+            starts[m.indptr[:-1]] = True
+            assert np.all(np.diff(m.indices)[~starts[1:]] > 0)
+            # the first point of every line reads its edge coefficient, once
+            assert np.array_equal(m.indices[m.indptr[: factor.lines]], np.arange(factor.lines))
+            assert m.indptr[1] < 28 * 4  # fewer entries than the taps of its 28 kept nodes
+
+
+@pytest.mark.parametrize("points", range(2, 17))
+def test_cubic_spline_passes_through_the_nodes_of_short_lines(points):
+    # scipy's "nearest" prefilter misses the node values of short lines (by 1e-3 at 2 points);
+    # the field's spline and the grid step's prefilter are exact at every length. With one
+    # Gauss-Hermite node at 0 and no drift, the step reads the spline at the grid points
+    quad = QuadratureSpec(backend="gauss_hermite", nodes_per_dim=1)
+    rng = np.random.default_rng(points)
+    for dim in (1, 2):
+        u = GridField([(-1.0, 1.0)] * dim, rng.standard_normal((points,) * dim))
+        assert np.max(np.abs(u.sample(u.meshpoints()) - u.values.ravel())) <= 1e-14
+        assert np.max(np.abs(apply_S(const_op(q=(0.5,) * dim), 0.1, u, quad).values - u.values)) <= 1e-14
 
 
 @pytest.mark.parametrize("budget", [1 << 16, 64])
@@ -491,10 +527,30 @@ def test_chernoff_checkpoint_equals_repeated_apply_s(dim):
     plan = ChernoffPlan(t_final=0.3, steps=6, quad=quad, op=op)
     k = 4
     res = chernoff_solve(plan, u0, checkpoint_steps=(k,))
-    u = u0
-    for _ in range(k):
+    mask = u0.interior_mask(plan.required_margin())
+    u, sup_norms, interior = u0, [], []
+    for step in range(1, plan.steps + 1):
         u = apply_S(op, plan.tau, u, quad)
-    assert np.array_equal(res.checkpoints[k].values, u.values)
+        sup_norms.append(u.sup_norm)
+        interior.append(float(np.max(np.abs(u.values[mask]))))
+        if step == k:
+            assert np.array_equal(res.checkpoints[k].values, u.values)
+    assert np.array_equal(res.field.values, u.values)
+    assert np.array_equal(res.sup_norms, sup_norms)
+    assert np.array_equal(res.interior_sup_norms, interior)
+
+
+def test_bad_checkpoint_raises_before_any_factor_is_built(monkeypatch):
+    # a per-point tap table can take up to _TAP_TABLE_BYTES, so the checkpoints are checked first
+    built = []
+    monkeypatch.setattr(engine, "_axis_factor", lambda *args: built.append(args))
+    quad = QuadratureSpec(backend="gauss_hermite", nodes_per_dim=8)
+    plan = ChernoffPlan(t_final=0.3, steps=6, quad=quad, op=variable_op(2, drift=True))
+    u0 = rough_field(2, 32, 9.0)
+    for bad in (0, 7, 2.5):
+        with pytest.raises(ValueError, match=f"checkpoint step {bad} outside 1..6"):
+            chernoff_solve(plan, u0, checkpoint_steps=(1, bad))
+    assert built == []
 
 
 # ---------------------------------------------------------------- norm bound

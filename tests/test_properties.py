@@ -2,10 +2,8 @@
 
 A case is a box of 1-3 axes with at least 16 points per axis, a boundary mode, an
 interpolation, a backend, variable g and C, optional drift, and a step tau whose one-step
-reach fits the box.  Fewer points would blur the 1e-12 bounds: scipy's "nearest" spline
-prefilter is only about 3e-10 accurate on 8-point axes.  In half the cases g, C and B vary
-along x1 only, as every registry coefficient does, so the Gauss-Hermite grid step meets
-each of its three factor forms.
+reach fits the box.  In half the cases g, C and B vary along x1 only, as every registry
+coefficient does, so the Gauss-Hermite grid step meets each of its three factor forms.
 """
 
 import math
