@@ -33,11 +33,13 @@ geometry and computes the grid points and per-point factors once, and chernoff_s
 iterates it on arrays, making a GridField only for checkpoints and the result.
 Gauss-Hermite node sums are fixed as one linear map per axis, its node weights folded into
 its spline taps when it is built, once per grid line rather than once per point wherever
-the coefficients allow it.  For K nodes per axis, lines of n points and M grid points,
-shared taps take at most K n (order + 1) * 12 bytes (taps on one coefficient are one
-entry), a per-line stencil 8 bytes per line and grid offset it reaches (about
-2 s z_max / dx + order + 1 offsets), and per-point taps K M (order + 1) * 12 bytes, refused
-(TapTableError) above _TAP_TABLE_BYTES.  Monte Carlo
+the coefficients allow it.  For K nodes per axis, lines of n points and M grid points, and
+W the grid offsets a point's row reaches (about 2 s z_max / dx + order + 1), a per-line
+stencil takes 8 bytes per line and offset; a table shared by L lines takes n W * 8 bytes as
+kernel rows when W 8 <= K (order + 1) 12, plus an extension buffer of (n + W - 1) L * 8,
+and otherwise CSR taps of at most K n (order + 1) * 12; per-point taps take at most
+K M (order + 1) * 12 bytes (taps on one coefficient are one entry, so these are bounds),
+refused (TapTableError) above _TAP_TABLE_BYTES.  Monte Carlo
 draws fresh nodes at every step (Philox stream k-1) and sums them by _node_sum, as
 tangency_residual does.
 """
@@ -316,7 +318,12 @@ def _spline_taps(idx: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     Taps may lie past the edge, where mode "nearest" reads the edge coefficient.
     """
     base = np.floor(idx)
-    cols = base.astype(np.intp)[..., None] + (np.arange(order + 1, dtype=np.intp) - order // 2)
+    ibase = base.astype(np.intp)
+    # one strided add per tap column: broadcasting a length-(order + 1) last axis runs one tiny
+    # inner loop per node, about three times slower
+    cols = np.empty(idx.shape + (order + 1,), dtype=np.intp)
+    for j in range(order + 1):
+        np.add(ibase, j - order // 2, out=cols[..., j])
     t = np.subtract(idx, base, out=base)
     w = np.empty(idx.shape + (order + 1,))
     if order == 1:
@@ -334,36 +341,63 @@ def _spline_taps(idx: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _LineTaps:
-    """Axis factor as weighted spline taps: one CSR row per grid point of a line.
+    """Axis factor as a table of weighted spline taps, one row per grid point of a line.
 
     Maps coefficients arranged (padded size, L), one grid line along the axis per column, to
-    node sums (size, L).  Node indices idx are (size, 1, K) when the taps are the same on every
-    line, one (size x padded size) block applied to all columns at once, or (size, L, K) for
-    one block per line, where the tap at coefficient j of line r is column j L + r of the
-    raveled coefficients.  Each row holds the K (order + 1) taps of its point, each times its
-    node weight, so it sums to 1; taps that read the same coefficient (those of neighbouring
+    node sums (size, L).  Node indices idx are (size, 1, K) when the rows are the same on every
+    line, or (size, L, K) for rows per point of each line; `lines` is L either way.  Each row
+    holds the K (order + 1) taps of its point, each times its node weight, so it sums to 1.  It
+    is stored in one of two forms, picked by _axis_factor:
+
+    kernel rows (span = (first, width), shared rows only): one bincount folds each row's taps by
+    offset into a dense row over the grid offsets first .. first + width - 1 from the point's
+    own coefficient.  A tap past the edge keeps its offset and reads the coefficient lines
+    extended past the edge by the edge coefficient.  The extension is a buffer kept with the
+    factor, with its view of sliding windows (a new view costs about 12 us a call), so a call
+    is not reentrant.  Each point's row contracts its window on all lines by np.matmul, whose
+    bits do not depend on the number of BLAS threads.
+
+    CSR taps (span None): one sparse block, (size x padded size) applied to all columns at once
+    when shared, or one block per line, where the tap at coefficient j of line r is column j L + r
+    of the raveled coefficients.  Taps that read the same coefficient (those of neighbouring
     nodes, and every tap clipped to the edge) are summed into one entry, so a row names each
-    column once, in increasing order.  Columns are intp, since 4-axis grids can pass 2^31
-    cells; scipy stores them in int32 when they fit.
+    column once, in increasing order.  Columns are intp, since 4-axis grids can pass 2^31 cells;
+    scipy stores them in int32 when they fit.
     """
 
-    def __init__(self, idx: np.ndarray, weights: np.ndarray, order: int, padded: int):
+    def __init__(self, idx: np.ndarray, weights: np.ndarray, order: int, pad: int, lines: int, span):
         self.size, self.lines, nodes = idx.shape
         cols, w = _spline_taps(idx, order)
         w *= weights[..., None]
-        np.clip(cols, 0, padded - 1, out=cols)
-        cols *= self.lines
-        cols += np.arange(self.lines, dtype=np.intp)[:, None, None]
-        self.matrix = sp.csr_matrix(
-            (w.ravel(), cols.ravel(), np.arange(0, w.size + 1, nodes * (order + 1), dtype=np.intp)),
-            shape=(self.size * self.lines, padded * self.lines),
-        )
-        self.matrix.sum_duplicates()
+        self.matrix = None
+        if span is None:
+            padded = self.size + 2 * pad
+            np.clip(cols, 0, padded - 1, out=cols)
+            cols *= self.lines
+            cols += np.arange(self.lines, dtype=np.intp)[:, None, None]
+            self.matrix = sp.csr_matrix(
+                (w.ravel(), cols.ravel(), np.arange(0, w.size + 1, nodes * (order + 1), dtype=np.intp)),
+                shape=(self.size * self.lines, padded * self.lines),
+            )
+            self.matrix.sum_duplicates()
+            return
+        first, width = span
+        # the tap of point j at column c is entry (j, c - j - pad - first) of the table
+        cols += (np.arange(self.size) * (width - 1) - pad - first)[:, None, None, None]
+        kernel = np.bincount(cols.ravel(), w.ravel(), minlength=self.size * width)
+        self.kernel = kernel.reshape(self.size, 1, width)  # a row vector per point, for matmul
+        self.index = np.arange(pad + first, pad + first + self.size + width - 1)  # clipped by np.take
+        self.extended = np.empty((self.size + width - 1, lines))
+        self.windows = np.lib.stride_tricks.sliding_window_view(self.extended, width, axis=0).swapaxes(1, 2)
 
     def __call__(self, coeffs: np.ndarray) -> np.ndarray:
         lines = coeffs.shape[1]
-        # one shared block multiplies the coefficient matrix; a single column stays a matvec
-        return (self.matrix @ (coeffs if self.lines < lines else coeffs.ravel())).reshape(self.size, lines)
+        if self.matrix is not None:
+            # one shared block multiplies the coefficient matrix; a single column stays a matvec
+            return (self.matrix @ (coeffs if self.lines < lines else coeffs.ravel())).reshape(self.size, lines)
+        np.take(coeffs, self.index, axis=0, out=self.extended, mode="clip")
+        # (1 x width) @ (width x L) at each point
+        return np.matmul(self.kernel, self.windows).reshape(self.size, lines)
 
 
 class _LineStencil:
@@ -403,11 +437,14 @@ def _axis_factor(x: np.ndarray, scale: np.ndarray, shift: np.ndarray, nodes: np.
     coefficients padded by `pad` cells at each end: the spline taps at the nodes
     x + shift + scale z_k, each times its node weight.
 
-    Its form follows scale and shift: one block of taps for every line when they are the same
-    on each line, a folded stencil per line when they are constant along each line, and taps
-    per point otherwise; those are refused with TapTableError, before any is computed, when
-    they would take more than _TAP_TABLE_BYTES.
+    Its form follows scale and shift: one table of taps shared by every line when they are the
+    same on each line, a folded stencil per line when they are constant along each line, and
+    taps per point otherwise; those are refused with TapTableError, before any is computed, when
+    they would take more than _TAP_TABLE_BYTES.  A shared table takes kernel rows over the W grid
+    offsets its rows reach when W 8 <= K (order + 1) 12, the bytes a row of CSR taps can take
+    at most, and CSR taps otherwise; per-point tables always take CSR taps.
     """
+    lines = scale.shape[1]
     if np.all(scale == scale[:, :1]) and np.all(shift == shift[:, :1]):
         scale, shift = scale[:, :1], shift[:, :1]
     elif np.all(scale == scale[:1]) and np.all(shift == shift[:1]):
@@ -421,9 +458,18 @@ def _axis_factor(x: np.ndarray, scale: np.ndarray, shift: np.ndarray, nodes: np.
     offset = shift[..., None] + scale[..., None] * nodes
     if scale.ndim == 1:
         return _LineStencil(offset / dx, weights, order, x.size, pad)
-    idx = (x[:, None, None] + offset - lo) / dx
+    idx = np.add(x[:, None, None], offset, out=offset)  # in place: offset is not needed again
+    idx -= lo
+    idx /= dx
     idx += pad
-    return _LineTaps(idx, weights, order, x.size + 2 * pad)
+    span = None
+    if scale.shape[1] == 1:  # shared rows: the grid offsets, from each point's own coefficient, they reach
+        own = np.arange(x.size) + pad  # floor is monotone, so each point's outermost nodes decide
+        first = int((np.floor(idx.min(axis=(1, 2))) - own).min()) - order // 2
+        width = int((np.floor(idx.max(axis=(1, 2))) - own).max()) + order - order // 2 - first + 1
+        if width * 8 <= nodes.size * (order + 1) * 12:
+            span = (first, width)
+    return _LineTaps(idx, weights, order, pad, lines, span)
 
 
 class _Step:
@@ -449,13 +495,18 @@ class _Step:
     The factor's form is picked from the scale s and shift tau q_i B_i along axis i alone
     (_axis_factor):
       (a) the same on every line along axis i (always in 1D, and on axis 1 when the
-          coefficients depend on x_1 only): one CSR block, n x n for lines of n points with
-          the distinct columns of its K (order + 1) taps in each row, multiplies the
-          coefficients arranged one line per column;
+          coefficients depend on x_1 only): one table of n rows for lines of n points, each
+          row the K (order + 1) weighted taps of one point, applied to every line;
       (b) constant along each line and different between lines (axes 2.. when the
           coefficients depend on x_1 only): each line folds its weighted taps into one
           kernel, applied as a banded convolution;
-      (c) otherwise: taps per point, (a) with one block per line.
+      (c) otherwise: taps per point, (a) with one CSR block of n rows per line.
+    The table of (a) takes kernel rows, one dense row per point over the W grid offsets its
+    rows reach, when W 8 <= K (order + 1) 12, the most bytes a row's CSR taps can take, and
+    keeps the CSR taps otherwise; kernel rows thus take no more than that CSR bound, plus an
+    extension buffer of (n + W - 1) L * 8 bytes for L lines.  At K = 32 (28 kept nodes, cubic)
+    that is W <= 168, about s / dx <= 10: converge_variable_g at n = 32 and 64 takes kernel
+    rows, at n = 4 .. 16 CSR taps.
     In 1D this agrees with _node_sum's per-node summation up to rounding (2e-15 on fields of
     size 1).  In d >= 2 the factors' product is the tensor step, up to rounding, when g
     depends on x_1 only and B_j on x_1 .. x_j only, so that no factor's weights change along
@@ -555,7 +606,6 @@ def chernoff_solve(plan: ChernoffPlan, u0: GridField, checkpoint_steps: Sequence
     for k in checkpoint_steps:
         if not (is_integer(k) and 1 <= k <= plan.steps):
             raise ValueError(f"checkpoint step {k} outside 1..{plan.steps}")
-    step_S = _Step(plan.op, plan.tau, u0, plan.quad, plan.interpolation)
     margin = plan.required_margin()
     mask = u0.interior_mask(margin)
     if not mask.any():
@@ -564,6 +614,8 @@ def chernoff_solve(plan: ChernoffPlan, u0: GridField, checkpoint_steps: Sequence
             f"chain margin {margin:.3g} leaves no grid point in the interior at spacing {dx:.3g}; "
             "enlarge or refine the grid"
         )
+    # the checks above come first: building the step can take a per-point table of _TAP_TABLE_BYTES
+    step_S = _Step(plan.op, plan.tau, u0, plan.quad, plan.interpolation)
     sup_norms = np.empty(plan.steps)
     interior = np.empty(plan.steps)
     checkpoints: dict[int, GridField] = {}

@@ -4,12 +4,14 @@ import dataclasses
 import functools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from gausspde import engine
+from gausspde.config import load_config
 from gausspde.cylinder import Coefficients, CylFunction, OperatorL
 from gausspde.engine import (
     ChernoffPlan,
@@ -26,6 +28,7 @@ from gausspde.engine import (
 from gausspde.gauss import GH_MAX_DIM, IntegrandError, QuadratureSpec, TraceClassOperator
 
 GH = QuadratureSpec(backend="gauss_hermite", nodes_per_dim=32)
+REPO = Path(__file__).resolve().parents[1]
 
 
 def const_op(g=1.0, b=None, c=0.0, q=(0.5,), contractive=False):
@@ -317,6 +320,81 @@ def test_line_taps_name_each_column_once_in_increasing_order():
             assert m.indptr[1] < 28 * 4  # fewer entries than the taps of its 28 kept nodes
 
 
+def line_taps_built(op, tau, u, quad, interpolation):
+    """The arguments of every _LineTaps table the step builds."""
+    calls = []
+    line_taps = engine._LineTaps
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_LineTaps", lambda *args: calls.append(args) or line_taps(*args))
+        engine._Step(op, tau, u, quad, interpolation)
+    return calls
+
+
+def reach(idx, order, pad):
+    """(first, width): the grid offsets, from each point's own coefficient, that the taps at
+    node indices idx reach, taken over every node."""
+    offsets = np.floor(idx) - (np.arange(idx.shape[0]) + pad)[:, None, None]
+    first = int(offsets.min()) - order // 2
+    return first, int(offsets.max()) + order - order // 2 - first + 1
+
+
+@pytest.mark.parametrize(("dim", "drift"), [(1, False), (1, True), (2, False), (2, True)],
+                         ids=["1d", "1d-drift", "2d-shared", "2d-per-point"])
+@pytest.mark.parametrize("interpolation", ["cubic", "linear"])
+@pytest.mark.parametrize("mode", ["clamp", "constant"])
+def test_kernel_rows_match_csr_taps(dim, drift, interpolation, mode):
+    # both forms of every shared table the step builds, on random coefficient lines: the nodes of
+    # the edge points reach past the field's edge, where the kernel rows read the extended lines
+    # and the CSR taps the clipped columns. In 2D, axis 1 is a shared table; with drift, axis 2's
+    # scale varies across its lines and its shift along them, so its table is per point, and
+    # keeps CSR taps though its rows reach fewer offsets than their taps
+    quad = QuadratureSpec(backend="gauss_hermite", nodes_per_dim=32)
+    u = rough_field(dim, (200, 24)[dim - 1], 3.0, boundary_mode=mode, boundary_value=0.75)
+    calls = line_taps_built(variable_op(dim, drift), 0.4, u, quad, interpolation)
+    assert [args[0].shape[1] for args in calls] == ([1] if dim == 1 else [1, 24] if drift else [1])
+    rng = np.random.default_rng(dim)
+    for idx, weights, order, pad, lines, span in calls:
+        if idx.shape[1] > 1:
+            assert span is None and reach(idx, order, pad)[1] * 8 <= idx.shape[2] * (order + 1) * 12
+            continue
+        assert span in (None, reach(idx, order, pad))
+        kernel = engine._LineTaps(idx, weights, order, pad, lines, reach(idx, order, pad))
+        csr = engine._LineTaps(idx, weights, order, pad, lines, None)
+        assert kernel.matrix is None and csr.matrix is not None
+        assert idx[0].min() < pad - 2 and idx[-1].max() > idx.shape[0] + pad + 1
+        for _ in range(2):  # the extension buffer is rewritten by every call
+            coeffs = rng.standard_normal((idx.shape[0] + 2 * pad, lines))
+            assert np.max(np.abs(kernel(coeffs) - csr(coeffs))) <= 1e-15 * np.max(np.abs(coeffs))
+
+
+@pytest.mark.parametrize(
+    ("config", "steps", "kernel_rows"),
+    [("converge_variable_g", 64, True), ("converge_variable_g", 32, True), ("converge_variable_g", 16, False)],
+)
+def test_tables_take_kernel_rows_when_they_are_no_larger_than_csr_taps(config, steps, kernel_rows):
+    # K = 28 kept cubic nodes: kernel rows when they reach at most 28 * 4 * 12 / 8 = 168 offsets.
+    # converge_variable_g at n = 64 is perfbench's var1d (113 offsets); n = 16 reaches 221
+    cfg = load_config(REPO / "configs" / f"{config}.json")
+    (idx, _, order, pad, _, span), = line_taps_built(cfg.operator(), cfg.t_final / steps, cfg.grid,
+                                                      cfg.quadrature, cfg.interpolation)
+    width = reach(idx, order, pad)[1]
+    assert (width * 8 <= idx.shape[2] * (order + 1) * 12) == kernel_rows
+    assert span == (reach(idx, order, pad) if kernel_rows else None)
+
+
+def test_the_verify_single_step_and_the_2d_shared_block_pick_as_predicted():
+    # the battery's constant-coefficient row at n = 1 (g = 1, tau = 1, 512 points on +-9.2)
+    # reaches 461 offsets and keeps CSR taps; var2d's axis-1 block at K = 8 reaches 31 of the
+    # 8 * 4 * 12 / 8 = 48 offsets its taps could take, and takes kernel rows
+    verify = load_config(REPO / "configs" / "verify_default.json")
+    u0 = GridField.from_function(((-9.2, 9.2),), 512, lambda x: np.cos(x[:, 0]))
+    (args,) = line_taps_built(const_op(g=1.0, c=-1.0), 1.0, u0, verify.quadrature, "cubic")
+    assert args[-1] is None and reach(args[0], 3, 0)[1] == 461
+    var2d = load_config(REPO / "perfbench" / "configs" / "var2d.json")
+    (args,) = line_taps_built(var2d.operator(), var2d.t_final / 4, var2d.grid, var2d.quadrature, "cubic")
+    assert args[-1] == reach(args[0], 3, 0) and args[-1][1] == 31 and args[4] == 128
+
+
 @pytest.mark.parametrize("points", range(2, 17))
 def test_cubic_spline_passes_through_the_nodes_of_short_lines(points):
     # scipy's "nearest" prefilter misses the node values of short lines (by 1e-3 at 2 points);
@@ -550,6 +628,17 @@ def test_bad_checkpoint_raises_before_any_factor_is_built(monkeypatch):
     for bad in (0, 7, 2.5):
         with pytest.raises(ValueError, match=f"checkpoint step {bad} outside 1..6"):
             chernoff_solve(plan, u0, checkpoint_steps=(1, bad))
+    assert built == []
+
+
+def test_empty_interior_raises_before_any_factor_is_built(monkeypatch):
+    # a per-point tap table can take up to _TAP_TABLE_BYTES, so the interior is checked first
+    built = []
+    monkeypatch.setattr(engine, "_axis_factor", lambda *args: built.append(args))
+    op = const_op(g=1.0, c=0.0, q=(0.5,), contractive=True)
+    u0 = GridField.from_function([(-3.0, 3.0)], 2, lambda x: np.cos(x[:, 0]))
+    with pytest.raises(TruncationError, match="no grid point"):
+        chernoff_solve(ChernoffPlan(t_final=0.05, steps=4, quad=GH, op=op), u0)
     assert built == []
 
 
