@@ -33,13 +33,13 @@ geometry and computes the grid points and per-point factors once, and chernoff_s
 iterates it on arrays, making a GridField only for checkpoints and the result.
 Gauss-Hermite node sums are fixed as one linear map per axis, its node weights folded into
 its spline taps when it is built, once per grid line rather than once per point wherever
-the coefficients allow it.  For K nodes per axis, lines of n points and M grid points, and
-W the grid offsets a point's row reaches (about 2 s z_max / dx + order + 1), a per-line
-stencil takes 8 bytes per line and offset; a table shared by L lines takes n W * 8 bytes as
-kernel rows when W 8 <= K (order + 1) 12, plus an extension buffer of (n + W - 1) L * 8,
-and otherwise CSR taps of at most K n (order + 1) * 12; per-point taps take at most
-K M (order + 1) * 12 bytes (taps on one coefficient are one entry, so these are bounds),
-refused (TapTableError) above _TAP_TABLE_BYTES.  Monte Carlo
+the coefficients allow it.  For K nodes per axis, L lines of n points and M grid points, and
+W the grid offsets a point's row reaches (about 2 s z_max / dx + order + 1), kernel rows take
+W * 8 bytes per row plus an extension buffer of (n + W - 1) L * 8: rows keyed by line, one
+per line, always; rows keyed by point and shared by the lines, one per point, when
+W 8 <= K (order + 1) 12, and otherwise CSR taps of at most K n (order + 1) * 12; per-point
+taps take at most K M (order + 1) * 12 bytes (taps on one coefficient are one entry, so
+these are bounds), refused (TapTableError) above _TAP_TABLE_BYTES.  Monte Carlo
 draws fresh nodes at every step (Philox stream k-1) and sums them by _node_sum, as
 tangency_residual does.
 """
@@ -97,6 +97,17 @@ def _short_prefilter(values: np.ndarray, axis: int) -> np.ndarray:
     system[0, 0] = system[-1, -1] = 5.0
     lines = values.swapaxes(0, axis)
     return np.linalg.solve(system / 6.0, lines.reshape(n, -1)).reshape(lines.shape).swapaxes(0, axis)
+
+
+def _prefilter(values: np.ndarray, axis: int, order: int, output=np.float64) -> np.ndarray:
+    """Spline coefficients of values along `axis`, in `output` where scipy computes them: the
+    values themselves for linear splines, else their cubic prefilter with a read past the edge
+    taking the edge coefficient.  Short lines only occur in clamp mode: constant pads by _PAD."""
+    if order == 1:
+        return values
+    if values.shape[axis] < _SHORT_LINE:
+        return _short_prefilter(values, axis)
+    return ndi.spline_filter1d(values, order=order, axis=axis, mode="nearest", output=output)
 
 
 def _spline_order(interpolation: str) -> int:
@@ -218,11 +229,8 @@ class _FieldEvaluator:
         self.coeffs = fld.values
         if self.pad:
             self.coeffs = np.pad(self.coeffs, self.pad, constant_values=fld.boundary_value)
-        if self.order > 1 and self.coeffs.shape[0] < _SHORT_LINE:  # clamp only: constant pads by _PAD
-            for axis in range(self.coeffs.ndim):
-                self.coeffs = _short_prefilter(self.coeffs, axis)
-        elif self.order > 1:
-            self.coeffs = ndi.spline_filter(self.coeffs, order=self.order, mode="nearest", output=np.float64)
+        for axis in range(self.coeffs.ndim):  # what ndi.spline_filter does
+            self.coeffs = _prefilter(self.coeffs, axis, self.order)
         self.lo = np.array([lo for lo, _ in fld.bounds])
         self.dx = np.array(fld.spacings)
 
@@ -344,18 +352,21 @@ class _LineTaps:
     """Axis factor as a table of weighted spline taps, one row per grid point of a line.
 
     Maps coefficients arranged (padded size, L), one grid line along the axis per column, to
-    node sums (size, L).  Node indices idx are (size, 1, K) when the rows are the same on every
-    line, or (size, L, K) for rows per point of each line; `lines` is L either way.  Each row
-    holds the K (order + 1) taps of its point, each times its node weight, so it sums to 1.  It
-    is stored in one of two forms, picked by _axis_factor:
+    node sums (size, L).  Tap columns and weights `cols`, `w` are (size, 1, K, order + 1) for
+    rows keyed by point, the same on every line; (1, L, K, order + 1) for rows keyed by line, the
+    same at every point of it, holding the taps of its first point; or (size, L, K, order + 1) for
+    rows per point of each line; `lines` is L in every case.  Columns index the padded line.  Each
+    row holds the K (order + 1) taps of its point, each times its node weight, so it sums to 1.
+    It is stored in one of two forms, picked by _axis_factor:
 
-    kernel rows (span = (first, width), shared rows only): one bincount folds each row's taps by
-    offset into a dense row over the grid offsets first .. first + width - 1 from the point's
-    own coefficient.  A tap past the edge keeps its offset and reads the coefficient lines
-    extended past the edge by the edge coefficient.  The extension is a buffer kept with the
-    factor, with its view of sliding windows (a new view costs about 12 us a call), so a call
-    is not reentrant.  Each point's row contracts its window on all lines by np.matmul, whose
-    bits do not depend on the number of BLAS threads.
+    kernel rows (span = (first, width), rows keyed by point or by line): one bincount folds each
+    row's taps by offset into a dense row over the grid offsets first .. first + width - 1 from
+    the point's own coefficient.  A tap past the edge keeps its offset and reads the coefficient
+    lines extended past the edge by the edge coefficient.  The extension is a buffer kept with
+    the factor, with its view of sliding windows (a new view costs about 12 us a call), so a call
+    is not reentrant.  A point's row contracts its window on all lines by np.matmul, whose bits do
+    not depend on the number of BLAS threads; rows keyed by line, a contiguous (width, L) array,
+    contract each line's windows by np.einsum, which calls no BLAS.
 
     CSR taps (span None): one sparse block, (size x padded size) applied to all columns at once
     when shared, or one block per line, where the tap at coefficient j of line r is column j L + r
@@ -365,29 +376,30 @@ class _LineTaps:
     scipy stores them in int32 when they fit.
     """
 
-    def __init__(self, idx: np.ndarray, weights: np.ndarray, order: int, pad: int, lines: int, span):
-        self.size, self.lines, nodes = idx.shape
-        cols, w = _spline_taps(idx, order)
-        w *= weights[..., None]
+    def __init__(self, cols: np.ndarray, w: np.ndarray, size: int, pad: int, lines: int, span):
+        self.size, self.lines = size, cols.shape[1]
         self.matrix = None
         if span is None:
-            padded = self.size + 2 * pad
+            padded = size + 2 * pad
             np.clip(cols, 0, padded - 1, out=cols)
             cols *= self.lines
             cols += np.arange(self.lines, dtype=np.intp)[:, None, None]
             self.matrix = sp.csr_matrix(
-                (w.ravel(), cols.ravel(), np.arange(0, w.size + 1, nodes * (order + 1), dtype=np.intp)),
-                shape=(self.size * self.lines, padded * self.lines),
+                (w.ravel(), cols.ravel(), np.arange(0, w.size + 1, cols[0, 0].size, dtype=np.intp)),
+                shape=(size * self.lines, padded * self.lines),
             )
             self.matrix.sum_duplicates()
             return
         first, width = span
-        # the tap of point j at column c is entry (j, c - j - pad - first) of the table
-        cols += (np.arange(self.size) * (width - 1) - pad - first)[:, None, None, None]
-        kernel = np.bincount(cols.ravel(), w.ravel(), minlength=self.size * width)
-        self.kernel = kernel.reshape(self.size, 1, width)  # a row vector per point, for matmul
-        self.index = np.arange(pad + first, pad + first + self.size + width - 1)  # clipped by np.take
-        self.extended = np.empty((self.size + width - 1, lines))
+        keys = cols.shape[0] * cols.shape[1]  # points or lines: the other axis has length 1
+        own = np.arange(cols.shape[0])[:, None] + pad  # a line's columns are those of its first point
+        # the tap of key r at column c is entry (r, c - own - first) of the table
+        cols += (np.arange(keys).reshape(cols.shape[:2]) * width - own - first)[..., None, None]
+        kernel = np.bincount(cols.ravel(), w.ravel(), minlength=keys * width).reshape(keys, width)
+        # a row vector per point, for matmul, or a column of offsets per line, for einsum
+        self.kernel = kernel[:, None] if self.lines == 1 else np.ascontiguousarray(kernel.T)
+        self.index = np.arange(pad + first, pad + first + size + width - 1)  # clipped by np.take
+        self.extended = np.empty((size + width - 1, lines))
         self.windows = np.lib.stride_tricks.sliding_window_view(self.extended, width, axis=0).swapaxes(1, 2)
 
     def __call__(self, coeffs: np.ndarray) -> np.ndarray:
@@ -396,32 +408,10 @@ class _LineTaps:
             # one shared block multiplies the coefficient matrix; a single column stays a matvec
             return (self.matrix @ (coeffs if self.lines < lines else coeffs.ravel())).reshape(self.size, lines)
         np.take(coeffs, self.index, axis=0, out=self.extended, mode="clip")
+        if self.lines > 1:
+            return np.einsum("jwr,wr->jr", self.windows, self.kernel)
         # (1 x width) @ (width x L) at each point
         return np.matmul(self.kernel, self.windows).reshape(self.size, lines)
-
-
-class _LineStencil:
-    """Axis factor whose scale and shift are constant along each line: one kernel per line.
-
-    Line r's nodes sit at the same offsets shift_r + s_r z_k from every point, so its taps and
-    node weights fold into one kernel over grid offsets lo .. lo + width - 1, summing to 1,
-    applied as a banded convolution on the coefficients extended past the edge.
-    """
-
-    def __init__(self, rel: np.ndarray, weights: np.ndarray, order: int, size: int, pad: int):
-        lines = rel.shape[0]
-        cols, w = _spline_taps(rel, order)  # (L, K, order + 1) taps at node offsets (shift_r + s_r z_k) / dx
-        w *= weights[..., None]
-        lo = int(cols.min())
-        self.width = int(cols.max()) - lo + 1
-        cols += (np.arange(lines, dtype=np.intp) * self.width - lo)[:, None, None]
-        self.kernel = np.bincount(cols.ravel(), w.ravel(), minlength=lines * self.width).reshape(lines, self.width)
-        self.index = np.clip(np.arange(lo + pad, lo + pad + size + self.width - 1), 0, size + 2 * pad - 1)
-
-    def __call__(self, coeffs: np.ndarray) -> np.ndarray:
-        extended = np.take(coeffs.T, self.index, axis=1)  # C-ordered, unlike coeffs.T[:, index]
-        windows = np.lib.stride_tricks.sliding_window_view(extended, self.width, axis=1)
-        return np.einsum("rjw,rw->rj", windows, self.kernel).T
 
 
 def _lines(a: np.ndarray, axis: int) -> np.ndarray:
@@ -437,39 +427,42 @@ def _axis_factor(x: np.ndarray, scale: np.ndarray, shift: np.ndarray, nodes: np.
     coefficients padded by `pad` cells at each end: the spline taps at the nodes
     x + shift + scale z_k, each times its node weight.
 
-    Its form follows scale and shift: one table of taps shared by every line when they are the
-    same on each line, a folded stencil per line when they are constant along each line, and
-    taps per point otherwise; those are refused with TapTableError, before any is computed, when
-    they would take more than _TAP_TABLE_BYTES.  A shared table takes kernel rows over the W grid
-    offsets its rows reach when W 8 <= K (order + 1) 12, the bytes a row of CSR taps can take
-    at most, and CSR taps otherwise; per-point tables always take CSR taps.
+    Its rows follow scale and shift: keyed by point and shared by every line when they are the
+    same on each line, keyed by line and shared by its points when they are constant along each
+    line, and per point otherwise; those are refused with TapTableError, before any is computed,
+    when they would take more than _TAP_TABLE_BYTES.  Rows keyed by point or line reach the W grid
+    offsets between the extremes of their first and last tap columns, taken from each point's own
+    coefficient.  Line-keyed rows are always kernel rows over them; point-keyed rows are when
+    W 8 <= K (order + 1) 12, the bytes a row of CSR taps can take at most, and CSR taps otherwise;
+    per-point tables always take CSR taps.
     """
     lines = scale.shape[1]
     if np.all(scale == scale[:, :1]) and np.all(shift == shift[:, :1]):
         scale, shift = scale[:, :1], shift[:, :1]
     elif np.all(scale == scale[:1]) and np.all(shift == shift[:1]):
-        scale, shift = scale[0], shift[0]  # one value per line
+        scale, shift = scale[:1], shift[:1]  # one value per line
     elif (table := nodes.size * scale.size * (order + 1) * 12) > _TAP_TABLE_BYTES:
         raise TapTableError(
             f"per-point taps along one axis would take {table} bytes, more than the budget of "
             f"{_TAP_TABLE_BYTES}; use fewer points or nodes, or coefficients constant along or "
             "across the axis"
         )
-    offset = shift[..., None] + scale[..., None] * nodes
-    if scale.ndim == 1:
-        return _LineStencil(offset / dx, weights, order, x.size, pad)
-    idx = np.add(x[:, None, None], offset, out=offset)  # in place: offset is not needed again
-    idx -= lo
-    idx /= dx
+    idx = shift[..., None] + scale[..., None] * nodes  # node offsets from the point
+    if scale.shape[0] > 1:
+        idx += x[:, None, None]
+        idx -= lo
+    idx /= dx  # node indices on the line; a line-keyed table's offsets stand for its first point's
     idx += pad
+    cols, w = _spline_taps(idx, order)
+    w *= weights[..., None]
     span = None
-    if scale.shape[1] == 1:  # shared rows: the grid offsets, from each point's own coefficient, they reach
-        own = np.arange(x.size) + pad  # floor is monotone, so each point's outermost nodes decide
-        first = int((np.floor(idx.min(axis=(1, 2))) - own).min()) - order // 2
-        width = int((np.floor(idx.max(axis=(1, 2))) - own).max()) + order - order // 2 - first + 1
-        if width * 8 <= nodes.size * (order + 1) * 12:
+    if 1 in scale.shape:  # the offsets, from each point's own coefficient, its taps reach
+        own = np.arange(cols.shape[0])[:, None] + pad
+        first = int((cols[..., 0].min(axis=2) - own).min())
+        width = int((cols[..., order].max(axis=2) - own).max()) - first + 1
+        if scale.shape[0] == 1 or width * 8 <= nodes.size * (order + 1) * 12:
             span = (first, width)
-    return _LineTaps(idx, weights, order, pad, lines, span)
+    return _LineTaps(cols, w, x.size, pad, lines, span)
 
 
 class _Step:
@@ -492,21 +485,19 @@ class _Step:
     with u the factor's input (boundary_value included in constant mode), so leaving them
     out moves a factor's output by at most 3.2e-18 ||u||_inf at K = 32.
 
-    The factor's form is picked from the scale s and shift tau q_i B_i along axis i alone
-    (_axis_factor):
+    The factor's rows, each the K (order + 1) weighted taps of one point, are picked from the
+    scale s and shift tau q_i B_i along axis i alone (_axis_factor):
       (a) the same on every line along axis i (always in 1D, and on axis 1 when the
-          coefficients depend on x_1 only): one table of n rows for lines of n points, each
-          row the K (order + 1) weighted taps of one point, applied to every line;
+          coefficients depend on x_1 only): n rows keyed by point for lines of n points,
+          applied to every line;
       (b) constant along each line and different between lines (axes 2.. when the
-          coefficients depend on x_1 only): each line folds its weighted taps into one
-          kernel, applied as a banded convolution;
-      (c) otherwise: taps per point, (a) with one CSR block of n rows per line.
-    The table of (a) takes kernel rows, one dense row per point over the W grid offsets its
-    rows reach, when W 8 <= K (order + 1) 12, the most bytes a row's CSR taps can take, and
-    keeps the CSR taps otherwise; kernel rows thus take no more than that CSR bound, plus an
-    extension buffer of (n + W - 1) L * 8 bytes for L lines.  At K = 32 (28 kept nodes, cubic)
-    that is W <= 168, about s / dx <= 10: converge_variable_g at n = 32 and 64 takes kernel
-    rows, at n = 4 .. 16 CSR taps.
+          coefficients depend on x_1 only): one row keyed by line, applied at every point of it;
+      (c) otherwise: taps per point, one CSR block of n rows per line.
+    Rows of (a) and (b) are kernel rows, dense over the W grid offsets they reach, read from
+    the lines extended by an edge buffer of (n + W - 1) L * 8 bytes for L lines.  Those of (a)
+    are kernel rows only when W 8 <= K (order + 1) 12, the most bytes a row's CSR taps can take,
+    and keep the CSR taps otherwise.  At K = 32 (28 kept nodes, cubic) that is W <= 168, about
+    s / dx <= 10: converge_variable_g at n = 32 and 64 takes kernel rows, at n = 4 .. 16 CSR taps.
     In 1D this agrees with _node_sum's per-node summation up to rounding (2e-15 on fields of
     size 1).  In d >= 2 the factors' product is the tensor step, up to rounding, when g
     depends on x_1 only and B_j on x_1 .. x_j only, so that no factor's weights change along
@@ -566,10 +557,7 @@ class _Step:
             ext[-self.pad :] = self.boundary_value
             ext[self.pad : -self.pad] = values.swapaxes(0, i)
             values = output
-        if self.order > 1 and values.shape[i] < _SHORT_LINE:  # clamp only: constant pads by _PAD
-            values = _short_prefilter(values, i)
-        elif self.order > 1:
-            values = ndi.spline_filter1d(values, order=self.order, axis=i, mode="nearest", output=output)
+        values = _prefilter(values, i, self.order, output)
         return self.factors[i](_lines(values, i)).reshape(self.shape).swapaxes(0, i)
 
     def apply(self, values: np.ndarray, stream: tuple) -> np.ndarray:

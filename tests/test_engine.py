@@ -321,49 +321,57 @@ def test_line_taps_name_each_column_once_in_increasing_order():
 
 
 def line_taps_built(op, tau, u, quad, interpolation):
-    """The arguments of every _LineTaps table the step builds."""
+    """The arguments of every _LineTaps table the step builds, its tap columns and weights as
+    they were passed: the table folds them in place."""
     calls = []
     line_taps = engine._LineTaps
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(engine, "_LineTaps", lambda *args: calls.append(args) or line_taps(*args))
+        patch.setattr(engine, "_LineTaps",
+                      lambda cols, w, *args: calls.append((cols.copy(), w.copy(), *args)) or line_taps(cols, w, *args))
         engine._Step(op, tau, u, quad, interpolation)
     return calls
 
 
-def reach(idx, order, pad):
-    """(first, width): the grid offsets, from each point's own coefficient, that the taps at
-    node indices idx reach, taken over every node."""
-    offsets = np.floor(idx) - (np.arange(idx.shape[0]) + pad)[:, None, None]
-    first = int(offsets.min()) - order // 2
-    return first, int(offsets.max()) + order - order // 2 - first + 1
+def reach(cols, pad):
+    """(first, width): the grid offsets, from each point's own coefficient, that the tap columns
+    cols reach, taken over every tap; a line-keyed table's columns are those of its first point."""
+    offsets = cols - (np.arange(cols.shape[0]) + pad)[:, None, None, None]
+    first = int(offsets.min())
+    return first, int(offsets.max()) - first + 1
 
 
-@pytest.mark.parametrize(("dim", "drift"), [(1, False), (1, True), (2, False), (2, True)],
-                         ids=["1d", "1d-drift", "2d-shared", "2d-per-point"])
+@pytest.mark.parametrize(("dim", "drift"), [(1, False), (1, True), (2, False), (2, True), (2, "x1"), (3, "x1")],
+                         ids=["1d", "1d-drift", "2d-shared", "2d-per-point", "2d-line-keyed", "3d-line-keyed"])
 @pytest.mark.parametrize("interpolation", ["cubic", "linear"])
 @pytest.mark.parametrize("mode", ["clamp", "constant"])
 def test_kernel_rows_match_csr_taps(dim, drift, interpolation, mode):
-    # both forms of every shared table the step builds, on random coefficient lines: the nodes of
-    # the edge points reach past the field's edge, where the kernel rows read the extended lines
-    # and the CSR taps the clipped columns. In 2D, axis 1 is a shared table; with drift, axis 2's
-    # scale varies across its lines and its shift along them, so its table is per point, and
+    # the kernel rows of every table the step keys by point or by line, against CSR taps of the
+    # same offsets at every point, on random coefficient lines: the nodes of the edge points reach
+    # past the field's edge, where the kernel rows read the extended lines and the CSR taps the
+    # clipped columns. In 2D and 3D, axis 1 is keyed by point; axes 2.. are keyed by line when the
+    # coefficients depend on x1 alone (no drift, or x1_drift_op's). With variable_op's drift, axis
+    # 2's scale varies across its lines and its shift along them, so its table is per point, and
     # keeps CSR taps though its rows reach fewer offsets than their taps
     quad = QuadratureSpec(backend="gauss_hermite", nodes_per_dim=32)
-    u = rough_field(dim, (200, 24)[dim - 1], 3.0, boundary_mode=mode, boundary_value=0.75)
-    calls = line_taps_built(variable_op(dim, drift), 0.4, u, quad, interpolation)
-    assert [args[0].shape[1] for args in calls] == ([1] if dim == 1 else [1, 24] if drift else [1])
+    u = rough_field(dim, (200, 24, 10)[dim - 1], 3.0, boundary_mode=mode, boundary_value=0.75)
+    op = x1_drift_op(dim) if drift == "x1" else variable_op(dim, drift)
+    calls = line_taps_built(op, 0.4, u, quad, interpolation)
+    n = u.points_per_axis
+    later = (n, n) if drift is True else (1, n ** (dim - 1))  # per point, or keyed by line
+    assert [args[0].shape[:2] for args in calls] == [(n, 1)] + [later] * (dim - 1)
     rng = np.random.default_rng(dim)
-    for idx, weights, order, pad, lines, span in calls:
-        if idx.shape[1] > 1:
-            assert span is None and reach(idx, order, pad)[1] * 8 <= idx.shape[2] * (order + 1) * 12
+    for cols, w, size, pad, lines, span in calls:
+        if min(cols.shape[:2]) > 1:
+            assert span is None and reach(cols, pad)[1] * 8 <= cols[0, 0].size * 12
             continue
-        assert span in (None, reach(idx, order, pad))
-        kernel = engine._LineTaps(idx, weights, order, pad, lines, reach(idx, order, pad))
-        csr = engine._LineTaps(idx, weights, order, pad, lines, None)
+        assert span == reach(cols, pad) if cols.shape[0] == 1 else span in (None, reach(cols, pad))
+        points = cols + np.arange(size + 1 - cols.shape[0])[:, None, None, None]  # every point's taps
+        kernel = engine._LineTaps(cols.copy(), w, size, pad, lines, reach(cols, pad))
+        csr = engine._LineTaps(points.copy(), np.broadcast_to(w, points.shape).copy(), size, pad, lines, None)
         assert kernel.matrix is None and csr.matrix is not None
-        assert idx[0].min() < pad - 2 and idx[-1].max() > idx.shape[0] + pad + 1
+        assert points[0].min() < pad - 3 and points[-1].max() > size + pad + 2
         for _ in range(2):  # the extension buffer is rewritten by every call
-            coeffs = rng.standard_normal((idx.shape[0] + 2 * pad, lines))
+            coeffs = rng.standard_normal((size + 2 * pad, lines))
             assert np.max(np.abs(kernel(coeffs) - csr(coeffs))) <= 1e-15 * np.max(np.abs(coeffs))
 
 
@@ -375,24 +383,26 @@ def test_tables_take_kernel_rows_when_they_are_no_larger_than_csr_taps(config, s
     # K = 28 kept cubic nodes: kernel rows when they reach at most 28 * 4 * 12 / 8 = 168 offsets.
     # converge_variable_g at n = 64 is perfbench's var1d (113 offsets); n = 16 reaches 221
     cfg = load_config(REPO / "configs" / f"{config}.json")
-    (idx, _, order, pad, _, span), = line_taps_built(cfg.operator(), cfg.t_final / steps, cfg.grid,
-                                                      cfg.quadrature, cfg.interpolation)
-    width = reach(idx, order, pad)[1]
-    assert (width * 8 <= idx.shape[2] * (order + 1) * 12) == kernel_rows
-    assert span == (reach(idx, order, pad) if kernel_rows else None)
+    (cols, _, _, pad, _, span), = line_taps_built(cfg.operator(), cfg.t_final / steps, cfg.grid,
+                                                   cfg.quadrature, cfg.interpolation)
+    width = reach(cols, pad)[1]
+    assert (width * 8 <= cols[0, 0].size * 12) == kernel_rows
+    assert span == (reach(cols, pad) if kernel_rows else None)
 
 
 def test_the_verify_single_step_and_the_2d_shared_block_pick_as_predicted():
     # the battery's constant-coefficient row at n = 1 (g = 1, tau = 1, 512 points on +-9.2)
     # reaches 461 offsets and keeps CSR taps; var2d's axis-1 block at K = 8 reaches 31 of the
-    # 8 * 4 * 12 / 8 = 48 offsets its taps could take, and takes kernel rows
+    # 8 * 4 * 12 / 8 = 48 offsets its taps could take, and takes kernel rows, and its axis-2
+    # rows, one per line of 128, reach 23
     verify = load_config(REPO / "configs" / "verify_default.json")
     u0 = GridField.from_function(((-9.2, 9.2),), 512, lambda x: np.cos(x[:, 0]))
     (args,) = line_taps_built(const_op(g=1.0, c=-1.0), 1.0, u0, verify.quadrature, "cubic")
-    assert args[-1] is None and reach(args[0], 3, 0)[1] == 461
+    assert args[-1] is None and reach(args[0], 0)[1] == 461
     var2d = load_config(REPO / "perfbench" / "configs" / "var2d.json")
-    (args,) = line_taps_built(var2d.operator(), var2d.t_final / 4, var2d.grid, var2d.quadrature, "cubic")
-    assert args[-1] == reach(args[0], 3, 0) and args[-1][1] == 31 and args[4] == 128
+    args, line_keyed = line_taps_built(var2d.operator(), var2d.t_final / 4, var2d.grid, var2d.quadrature, "cubic")
+    assert args[-1] == reach(args[0], 0) and args[-1][1] == 31 and args[4] == 128
+    assert line_keyed[0].shape[:2] == (1, 128) and line_keyed[-1] == reach(line_keyed[0], 0) and line_keyed[-1][1] == 23
 
 
 @pytest.mark.parametrize("points", range(2, 17))
@@ -438,7 +448,8 @@ def test_per_line_stencils_fold_the_drift_weight(dim, interpolation, mode):
     quad = QuadratureSpec(backend="gauss_hermite", nodes_per_dim=8)
     u = rough_field(dim, (24, 10)[dim - 2], 3.0, boundary_mode=mode, boundary_value=0.75)
     step = engine._Step(op, 0.4, u, quad, interpolation)
-    assert all(isinstance(factor, engine._LineStencil) for factor in step.factors[1:])
+    assert all(isinstance(factor, engine._LineTaps) and factor.matrix is None and factor.lines > 1
+               for factor in step.factors[1:])
     ref = _one_step_values(op, 0.4, _FieldEvaluator(u, interpolation), u.meshpoints(), quad)
     assert np.max(np.abs(step(u, ()).values.ravel() - ref)) <= 1e-13
 
@@ -473,7 +484,7 @@ def test_constant_mode_step_keeps_no_state_between_calls(interpolation):
 
 def test_building_the_step_holds_no_per_point_tables():
     # per-point spline taps at K = 8 cubic nodes of 256^2 points take K M (order + 1) 12 B = 25 MB
-    # per axis; with g of x1 alone the factors are shared taps along axis 1 and per-line stencils
+    # per axis; with g of x1 alone the factors are rows keyed by point on axis 1 and by line on axis 2
     g = CylFunction(dim=2, eval=lambda x: 1.0 + 0.5 * np.sin(x[:, 0]), sup_bound=1.5)
     co = Coefficients(g=g, B=None, C=CylFunction.constant(0.0, 2), g_floor=0.5)
     op = OperatorL(coeffs=co, A=TraceClassOperator([0.5, 0.25]))

@@ -64,8 +64,8 @@ def _wave(draw, dim, x1_only):
 def cases(draw, drift=True, always_drift=False, c_nonpositive=False, modes=("clamp", "constant"),
           interpolations=("cubic", "linear"), max_dim=3):
     dim = draw(st.sampled_from(range(1, max_dim + 1)))
-    # coefficients of x1 alone give the grid step's shared taps on axis 1 and per-line stencils
-    # on the later axes; waves along every axis give per-point taps
+    # coefficients of x1 alone give the grid step's rows keyed by point on axis 1 and by line on
+    # the later axes; waves along every axis give per-point taps
     x1_only = draw(st.booleans())
     halves = [draw(st.floats(1.0, 6.0)) for _ in range(dim)]
     bounds = tuple((c - h, c + h) for c, h in zip((draw(st.floats(-2.0, 2.0)) for _ in range(dim)), halves))
@@ -182,13 +182,14 @@ def test_node_sum_does_not_depend_on_the_chunk_size(case):
 @PROPERTY
 @given(cases())
 def test_only_per_point_taps_count_against_the_tap_table_budget(case):
-    # with no budget at all, a step whose factors are all shared taps or per-line stencils
-    # still builds; one that needs per-point taps is refused before any per-point table exists
+    # with no budget at all, a step whose factors all have rows keyed by point or by line still
+    # builds; one that needs per-point taps is refused before any per-point table exists
     u = case.field(np.zeros(case.shape))
-    lines = []  # lines of every _LineTaps built: 1 for shared taps, more for per-point taps
+    lines = []  # of every _LineTaps built: 1 for rows keyed by point or line, the lines for per-point taps
     line_taps = engine._LineTaps
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(engine, "_LineTaps", lambda idx, *args: lines.append(idx.shape[1]) or line_taps(idx, *args))
+        patch.setattr(engine, "_LineTaps",
+                      lambda cols, *args: lines.append(min(cols.shape[:2])) or line_taps(cols, *args))
         engine._Step(case.op, case.tau, u, case.quad, case.interpolation)
         per_point = any(n > 1 for n in lines)
         lines.clear()
