@@ -39,9 +39,15 @@ W * 8 bytes per row plus an extension buffer of (n + W - 1) L * 8: rows keyed by
 per line, always; rows keyed by point and shared by the lines, one per point, when
 W 8 <= K (order + 1) 12, and otherwise CSR taps of at most K n (order + 1) * 12; per-point
 taps take at most K M (order + 1) * 12 bytes (taps on one coefficient are one entry, so
-these are bounds), refused (TapTableError) above _TAP_TABLE_BYTES.  Monte Carlo
-draws fresh nodes at every step (Philox stream k-1) and sums them by _node_sum, as
-tangency_residual does.
+these are bounds), refused (TapTableError) above _TAP_TABLE_BYTES.  The form is picked from
+the taps of the two outermost nodes, and kernel rows are filled a block of keys (points or
+lines) at a time, about _BUILD_TAPS taps a block, so a build holds the table and one block
+rather than all the taps: those of converge_variable_g's step at n = 64 take 3.4 MB, which
+glibc gives back to the OS once freed, so that each solve would fault about 810 pages in
+again.  chernoff_solve
+takes each step's sup norm as the larger of max and -min, which is also its finiteness check,
+and the interior's from the slices of the interior box.  Monte Carlo draws fresh nodes at
+every step (Philox stream k-1) and sums them by _node_sum, as tangency_residual does.
 """
 
 from __future__ import annotations
@@ -79,6 +85,9 @@ _PAD = 28
 _POINTS_MESSAGE = "points_per_axis must be the same on every axis and at least 2"
 # field values gathered at once by the per-node step: K M of them for K nodes and M points
 _GATHER_ELEMENTS = 4_000_000
+# spline taps computed at once while a table of kernel rows is built, a block of keys at a time;
+# with their node indices, the block's rows and temporaries they take about 50 bytes each
+_BUILD_TAPS = 1 << 14
 # bytes of one axis factor's per-point tap table, K M (order + 1) * 12, above which it is refused
 _TAP_TABLE_BYTES = 1 << 28
 # Gauss-Hermite nodes the grid step leaves out: weight below 2^-60, far under an ulp of the sum
@@ -297,12 +306,20 @@ def _node_sum(eval_fn: Callable[[np.ndarray], np.ndarray], centres: np.ndarray, 
     return acc
 
 
-def _prefactored(prefactor: np.ndarray, node_sum: np.ndarray) -> np.ndarray:
-    """The step's values prefactor * node_sum; raises IntegrandError if any is not finite."""
-    out = prefactor * node_sum
-    if not np.all(np.isfinite(out)):
-        raise IntegrandError("one-step integral produced a non-finite value")
-    return out
+_NOT_FINITE = "one-step integral produced a non-finite value"
+
+
+def _finite(values: np.ndarray) -> np.ndarray:
+    """The step's values; raises IntegrandError if any is not finite."""
+    if not np.all(np.isfinite(values)):
+        raise IntegrandError(_NOT_FINITE)
+    return values
+
+
+def _sup_norm(values: np.ndarray) -> float:
+    """max |values|, as the larger of max and -min: two passes that make no array.  It is
+    not finite when a value is not: max and min are NaN if any value is, and +-inf shows in one."""
+    return abs(max(values.max(), -values.min()))  # abs makes the -0.0 of an all-zero field 0.0
 
 
 def _one_step_values(
@@ -315,7 +332,7 @@ def _one_step_values(
 ) -> np.ndarray:
     """(S_tau f)(x) at the given points, f supplied as a vectorized evaluator."""
     scale, shift, prefactor = _step_coefficients(op, tau, pts)
-    return _prefactored(prefactor, _node_sum(eval_fn, pts + shift, scale, *gaussian_nodes(quad, op.q, stream)))
+    return _finite(prefactor * _node_sum(eval_fn, pts + shift, scale, *gaussian_nodes(quad, op.q, stream)))
 
 
 def _spline_taps(idx: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -348,38 +365,84 @@ def _spline_taps(idx: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     return cols, w
 
 
+class _NodeTaps:
+    """The weighted spline taps of an axis factor: the taps at the nodes x + shift + scale z_k of
+    each point on coefficients padded by `pad` cells at each end, each times its node weight.
+
+    scale and shift are (n, 1) for rows keyed by point, the same on every line; (1, L) for rows
+    keyed by line, the same at every point of it, whose node indices are offsets from its first
+    point; or (n, L) per point.  A call computes the tap columns and weights (_spline_taps) of a
+    slice of the keys, (keys, 1, K, order + 1) or (1, keys, K, order + 1), or of every point of a
+    per-point table, (n, L, K, order + 1); `block` keys hold about _BUILD_TAPS taps.
+    """
+
+    def __init__(self, x, scale, shift, nodes, weights, lo, dx, order, pad):
+        self.x, self.scale, self.shift, self.nodes, self.weights = x, scale, shift, nodes, weights
+        self.lo, self.dx, self.order, self.pad = lo, dx, order, pad
+        self.shape = scale.shape
+        self.block = max(1, _BUILD_TAPS // (nodes.size * (order + 1)))
+
+    def _indices(self, keys: slice, nodes: np.ndarray) -> np.ndarray:
+        at = (slice(None), keys) if self.shape[0] == 1 else (keys,)
+        idx = self.shift[at][..., None] + self.scale[at][..., None] * nodes  # node offsets from the point
+        if self.shape[0] > 1:
+            idx += self.x[keys, None, None]
+            idx -= self.lo
+        idx /= self.dx  # node indices on the line; a line-keyed table's offsets stand for its first point's
+        idx += self.pad
+        return idx
+
+    def __call__(self, keys: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        cols, w = _spline_taps(self._indices(keys, self.nodes), self.order)
+        w *= self.weights[..., None]
+        return cols, w
+
+    def span(self) -> tuple[int, int]:
+        """(first, width): the grid offsets first .. first + width - 1, from each point's own
+        coefficient, that the rows keyed by point or line reach.  Nodes ascend and scale >= 0, so
+        each key's node indices ascend (rounding keeps their order) and the first and last tap
+        columns of its outermost nodes bound all its taps."""
+        ends = np.floor(self._indices(slice(None), self.nodes[[0, -1]])).astype(np.intp)
+        ends -= (np.arange(self.shape[0]) + self.pad)[:, None, None]
+        first = int(ends[..., 0].min()) - self.order // 2
+        return first, int(ends[..., 1].max()) + self.order - self.order // 2 - first + 1
+
+
 class _LineTaps:
     """Axis factor as a table of weighted spline taps, one row per grid point of a line.
 
     Maps coefficients arranged (padded size, L), one grid line along the axis per column, to
-    node sums (size, L).  Tap columns and weights `cols`, `w` are (size, 1, K, order + 1) for
-    rows keyed by point, the same on every line; (1, L, K, order + 1) for rows keyed by line, the
-    same at every point of it, holding the taps of its first point; or (size, L, K, order + 1) for
-    rows per point of each line; `lines` is L in every case.  Columns index the padded line.  Each
-    row holds the K (order + 1) taps of its point, each times its node weight, so it sums to 1.
-    It is stored in one of two forms, picked by _axis_factor:
+    node sums (size, L).  `taps` (_NodeTaps) gives the tap columns and weights of its rows: keyed
+    by point, the same on every line; keyed by line, the same at every point of it, holding the
+    taps of its first point; or per point of each line.  `lines` is L in every case.  Columns
+    index the padded line.  Each row holds the K (order + 1) taps of its point, each times its node
+    weight, so it sums to 1.  It is stored in one of two forms, picked by _axis_factor:
 
-    kernel rows (span = (first, width), rows keyed by point or by line): one bincount folds each
-    row's taps by offset into a dense row over the grid offsets first .. first + width - 1 from
-    the point's own coefficient.  A tap past the edge keeps its offset and reads the coefficient
-    lines extended past the edge by the edge coefficient.  The extension is a buffer kept with
-    the factor, with its view of sliding windows (a new view costs about 12 us a call), so a call
-    is not reentrant.  A point's row contracts its window on all lines by np.matmul, whose bits do
-    not depend on the number of BLAS threads; rows keyed by line, a contiguous (width, L) array,
-    contract each line's windows by np.einsum, which calls no BLAS.
+    kernel rows (span = (first, width), rows keyed by point or by line): a dense row over the grid
+    offsets first .. first + width - 1 from the point's own coefficient.  The table is filled a
+    block of keys at a time: one bincount folds the block's taps by offset into its rows, in the
+    order the taps of one row come, so a row has the same bits whatever the block.  Only the
+    table and one block's taps (about _BUILD_TAPS of them) are held at once.  A tap past the edge
+    keeps its offset and reads the coefficient lines extended past the edge by the edge
+    coefficient.  The extension is a buffer kept with the factor, with its view of sliding
+    windows (a new view costs about 12 us a call), so a call is not reentrant.  A point's row
+    contracts its window on all lines by np.matmul, whose bits do not depend on the number of BLAS
+    threads; rows keyed by line, a contiguous (width, L) array, contract each line's windows by
+    np.einsum, which calls no BLAS.
 
-    CSR taps (span None): one sparse block, (size x padded size) applied to all columns at once
-    when shared, or one block per line, where the tap at coefficient j of line r is column j L + r
-    of the raveled coefficients.  Taps that read the same coefficient (those of neighbouring
-    nodes, and every tap clipped to the edge) are summed into one entry, so a row names each
-    column once, in increasing order.  Columns are intp, since 4-axis grids can pass 2^31 cells;
-    scipy stores them in int32 when they fit.
+    CSR taps (span None): all the taps at once, as one sparse block, (size x padded size) applied
+    to all columns at once when shared, or one block per line, where the tap at coefficient j of
+    line r is column j L + r of the raveled coefficients.  Taps that read the same coefficient
+    (those of neighbouring nodes, and every tap clipped to the edge) are summed into one entry, so
+    a row names each column once, in increasing order.  Columns are intp, since 4-axis grids can
+    pass 2^31 cells; scipy stores them in int32 when they fit.
     """
 
-    def __init__(self, cols: np.ndarray, w: np.ndarray, size: int, pad: int, lines: int, span):
-        self.size, self.lines = size, cols.shape[1]
+    def __init__(self, taps: _NodeTaps, size: int, pad: int, lines: int, span):
+        self.size, self.lines = size, taps.shape[1]
         self.matrix = None
         if span is None:
+            cols, w = taps()
             padded = size + 2 * pad
             np.clip(cols, 0, padded - 1, out=cols)
             cols *= self.lines
@@ -391,13 +454,20 @@ class _LineTaps:
             self.matrix.sum_duplicates()
             return
         first, width = span
-        keys = cols.shape[0] * cols.shape[1]  # points or lines: the other axis has length 1
-        own = np.arange(cols.shape[0])[:, None] + pad  # a line's columns are those of its first point
-        # the tap of key r at column c is entry (r, c - own - first) of the table
-        cols += (np.arange(keys).reshape(cols.shape[:2]) * width - own - first)[..., None, None]
-        kernel = np.bincount(cols.ravel(), w.ravel(), minlength=keys * width).reshape(keys, width)
+        keys = taps.shape[0] * taps.shape[1]  # points or lines: the other axis has length 1
+        by_line = taps.shape[0] == 1
         # a row vector per point, for matmul, or a column of offsets per line, for einsum
-        self.kernel = kernel[:, None] if self.lines == 1 else np.ascontiguousarray(kernel.T)
+        table = np.empty((width, keys)).T if by_line else np.empty((keys, width))
+        for start in range(0, keys, taps.block):
+            cols, w = taps(slice(start, start + taps.block))
+            rows = cols.shape[0] * cols.shape[1]
+            # a point's own coefficient; a line's columns are those of its first point
+            own = pad if by_line else np.arange(start, start + rows)[:, None] + pad
+            # the tap of key start + r at column c is entry (r, c - own - first) of the block
+            cols += (np.arange(rows).reshape(cols.shape[:2]) * width - own - first)[..., None, None]
+            block = np.bincount(cols.ravel(), w.ravel(), minlength=rows * width)
+            table[start : start + rows] = block.reshape(rows, width)
+        self.kernel = table.T if by_line else table[:, None]
         self.index = np.arange(pad + first, pad + first + size + width - 1)  # clipped by np.take
         self.extended = np.empty((size + width - 1, lines))
         self.windows = np.lib.stride_tricks.sliding_window_view(self.extended, width, axis=0).swapaxes(1, 2)
@@ -432,9 +502,14 @@ def _axis_factor(x: np.ndarray, scale: np.ndarray, shift: np.ndarray, nodes: np.
     line, and per point otherwise; those are refused with TapTableError, before any is computed,
     when they would take more than _TAP_TABLE_BYTES.  Rows keyed by point or line reach the W grid
     offsets between the extremes of their first and last tap columns, taken from each point's own
-    coefficient.  Line-keyed rows are always kernel rows over them; point-keyed rows are when
-    W 8 <= K (order + 1) 12, the bytes a row of CSR taps can take at most, and CSR taps otherwise;
-    per-point tables always take CSR taps.
+    coefficient; those come from the taps of the two outermost nodes alone (_NodeTaps.span), so
+    the form is picked before any other tap is computed.  Line-keyed rows are always kernel rows
+    over them; point-keyed rows are when W 8 <= K (order + 1) 12, the bytes a row of CSR taps can
+    take at most, and CSR taps otherwise; per-point tables always take CSR taps.  Kernel rows are
+    filled a block of about _BUILD_TAPS taps at a time (_LineTaps), so building them holds the
+    table and one block, not all the taps: those of converge_variable_g's step at n = 64 take
+    3.4 MB, which glibc hands back to the OS when they are freed, so that each solve would
+    fault them in again (about 810 minor page faults).
     """
     lines = scale.shape[1]
     if np.all(scale == scale[:, :1]) and np.all(shift == shift[:, :1]):
@@ -447,22 +522,13 @@ def _axis_factor(x: np.ndarray, scale: np.ndarray, shift: np.ndarray, nodes: np.
             f"{_TAP_TABLE_BYTES}; use fewer points or nodes, or coefficients constant along or "
             "across the axis"
         )
-    idx = shift[..., None] + scale[..., None] * nodes  # node offsets from the point
-    if scale.shape[0] > 1:
-        idx += x[:, None, None]
-        idx -= lo
-    idx /= dx  # node indices on the line; a line-keyed table's offsets stand for its first point's
-    idx += pad
-    cols, w = _spline_taps(idx, order)
-    w *= weights[..., None]
+    taps = _NodeTaps(x, scale, shift, nodes, weights, lo, dx, order, pad)
     span = None
-    if 1 in scale.shape:  # the offsets, from each point's own coefficient, its taps reach
-        own = np.arange(cols.shape[0])[:, None] + pad
-        first = int((cols[..., 0].min(axis=2) - own).min())
-        width = int((cols[..., order].max(axis=2) - own).max()) - first + 1
+    if 1 in scale.shape:
+        first, width = taps.span()
         if scale.shape[0] == 1 or width * 8 <= nodes.size * (order + 1) * 12:
             span = (first, width)
-    return _LineTaps(cols, w, x.size, pad, lines, span)
+    return _LineTaps(taps, x.size, pad, lines, span)
 
 
 class _Step:
@@ -561,17 +627,19 @@ class _Step:
         return self.factors[i](_lines(values, i)).reshape(self.shape).swapaxes(0, i)
 
     def apply(self, values: np.ndarray, stream: tuple) -> np.ndarray:
-        """The step's values on the grid for field values `values`; chernoff_solve iterates this."""
+        """The step's values on the grid for field values `values`, not checked for finiteness:
+        chernoff_solve iterates this and checks each step's values with its sup norm."""
         if self.gauss_hermite:
             for i in range(len(self.shape)):
                 values = self._factor(i, values)
         else:
             evaluator = _FieldEvaluator(dataclasses.replace(self.grid, values=values), self.interpolation)
             values = _node_sum(evaluator, self.centres, self.scale, *gaussian_nodes(self.quad, self.q, stream))
-        return _prefactored(self.prefactor, values.ravel()).reshape(self.shape)
+        return (self.prefactor * values.ravel()).reshape(self.shape)
 
     def __call__(self, u: GridField, stream: tuple) -> GridField:
-        return dataclasses.replace(u, values=self.apply(u.values, stream))
+        """The step applied to u; raises IntegrandError if a value is not finite."""
+        return dataclasses.replace(u, values=_finite(self.apply(u.values, stream)))
 
 
 def apply_S(op: OperatorL, tau: float, u: GridField, quad: QuadratureSpec, interpolation: str = "cubic") -> GridField:
@@ -608,12 +676,14 @@ def chernoff_solve(plan: ChernoffPlan, u0: GridField, checkpoint_steps: Sequence
     interior = np.empty(plan.steps)
     checkpoints: dict[int, GridField] = {}
     wanted = set(checkpoint_steps)
+    box = tuple(slice(i.min(), i.max() + 1) for i in np.nonzero(mask))  # the mask is a box
     values = u0.values
     for step in range(1, plan.steps + 1):
         values = step_S.apply(values, (step - 1,))
-        magnitude = np.abs(values)
-        sup_norms[step - 1] = np.max(magnitude)
-        interior[step - 1] = np.max(magnitude[mask])
+        sup_norms[step - 1] = _sup_norm(values)
+        if not math.isfinite(sup_norms[step - 1]):
+            raise IntegrandError(_NOT_FINITE)
+        interior[step - 1] = _sup_norm(values[box])
         if step in wanted:
             checkpoints[step] = dataclasses.replace(u0, values=values)
     field = dataclasses.replace(u0, values=values)

@@ -35,7 +35,6 @@ from typing import ClassVar
 import numpy as np
 import scipy.ndimage as ndi
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .cylinder import Coefficients, CylFunction
 from .engine import GridField
@@ -281,6 +280,8 @@ def fd_solve(p: FDProblem, u0: GridField) -> GridField:
     eye = sp.identity(m.shape[0], format="csr")
     a1 = (eye - 0.5 * dt * m).tocsr()
     _require_diagonally_dominant(a1)
+    from scipy.sparse.linalg import splu  # here, not at the top: solve and verify never factor
+
     lu = splu(a1.tocsc(), permc_spec=_PERMC_SPEC)
     for _ in range(p.time_steps):
         u = 2.0 * lu.solve(u) - u
@@ -307,6 +308,8 @@ def resolvent_solve(p: FDProblem, lam: float, rhs: CylFunction) -> GridField:
     # assemble_operator leaves the Dirichlet rows empty, so a 1 on their diagonal pins them
     system = sp.diags(np.where(asm.interior, lam, 1.0)) - asm.matrix
     rhs_vec = np.where(asm.interior, rhs(asm.points), p.boundary_value)
+    from scipy.sparse.linalg import splu  # here, not at the top: solve and verify never factor
+
     f = splu(system.tocsc(), permc_spec=_PERMC_SPEC).solve(rhs_vec)
     residual = np.max(np.abs(system @ f - rhs_vec))
     if residual > 1e-10 * max(1.0, float(np.max(np.abs(rhs_vec)))):

@@ -319,6 +319,21 @@ def test_threads_below_one_is_a_usage_error(tmp_path, capsys, threads):
     assert not out.exists()
 
 
+def test_solve_and_verify_never_load_superlu(tmp_path):
+    # only the finite-difference oracles factor a matrix, so importing the package, a solve and
+    # the verify battery leave scipy.sparse.linalg (SuperLU, about 8 MB of RSS) unloaded
+    script = (
+        "import sys, gausspde\n"
+        "for command, config in [('solve', 'converge_variable_g'), ('verify', 'verify_default')]:\n"
+        "    assert gausspde.main([command, '--config', f'{sys.argv[1]}/{config}.json', '--out', sys.argv[2]]) == 0\n"
+        "print('scipy.sparse.linalg' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, str(CONFIG_DIR), str(tmp_path / "out.csv")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-1] == "False"
+
+
 def test_package_runs_as_a_module_without_warnings(tmp_path):
     out = tmp_path / "field.csv"
     proc = subprocess.run(

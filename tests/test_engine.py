@@ -321,15 +321,27 @@ def test_line_taps_name_each_column_once_in_increasing_order():
 
 
 def line_taps_built(op, tau, u, quad, interpolation):
-    """The arguments of every _LineTaps table the step builds, its tap columns and weights as
-    they were passed: the table folds them in place."""
+    """The arguments of every _LineTaps table the step builds, its taps as the tap columns and
+    weights of all its keys at once."""
     calls = []
     line_taps = engine._LineTaps
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(engine, "_LineTaps",
-                      lambda cols, w, *args: calls.append((cols.copy(), w.copy(), *args)) or line_taps(cols, w, *args))
+        patch.setattr(engine, "_LineTaps", lambda taps, *args: calls.append((*taps(), *args)) or line_taps(taps, *args))
         engine._Step(op, tau, u, quad, interpolation)
     return calls
+
+
+class TapArrays:
+    """_LineTaps' taps given as the tap columns and weights of every key, all in one block:
+    (n, 1, ...) keyed by point, (1, L, ...) by line, (n, L, ...) per point."""
+
+    def __init__(self, cols, w):
+        self.cols, self.w, self.shape = cols, w, cols.shape[:2]
+        self.block = self.shape[0] * self.shape[1]
+
+    def __call__(self, keys=slice(None)):
+        at = (slice(None), keys) if self.shape[0] == 1 else (keys,)
+        return self.cols[at].copy(), self.w[at].copy()  # the table folds them in place
 
 
 def reach(cols, pad):
@@ -340,36 +352,45 @@ def reach(cols, pad):
     return first, int(offsets.max()) - first + 1
 
 
-@pytest.mark.parametrize(("dim", "drift"), [(1, False), (1, True), (2, False), (2, True), (2, "x1"), (3, "x1")],
-                         ids=["1d", "1d-drift", "2d-shared", "2d-per-point", "2d-line-keyed", "3d-line-keyed"])
+@pytest.mark.parametrize(
+    ("dim", "drift", "points", "tau", "past"),
+    [(1, False, 200, 0.4, 0), (1, True, 200, 0.4, 0), (2, False, 24, 0.4, 0), (2, True, 24, 0.4, 0),
+     (2, "x1", 24, 0.4, 0), (3, "x1", 10, 0.4, 0), (2, "x1", 40, 0.4, 2), (3, "x1", 32, 0.6, 2)],
+    ids=["1d", "1d-drift", "2d-shared", "2d-per-point", "2d-line-keyed", "3d-line-keyed",
+         "2d-line-keyed-past-the-pad", "3d-line-keyed-past-the-pad"],
+)
 @pytest.mark.parametrize("interpolation", ["cubic", "linear"])
 @pytest.mark.parametrize("mode", ["clamp", "constant"])
-def test_kernel_rows_match_csr_taps(dim, drift, interpolation, mode):
+def test_kernel_rows_match_csr_taps(dim, drift, points, tau, past, interpolation, mode):
     # the kernel rows of every table the step keys by point or by line, against CSR taps of the
     # same offsets at every point, on random coefficient lines: the nodes of the edge points reach
     # past the field's edge, where the kernel rows read the extended lines and the CSR taps the
     # clipped columns. In 2D and 3D, axis 1 is keyed by point; axes 2.. are keyed by line when the
     # coefficients depend on x1 alone (no drift, or x1_drift_op's). With variable_op's drift, axis
     # 2's scale varies across its lines and its shift along them, so its table is per point, and
-    # keeps CSR taps though its rows reach fewer offsets than their taps
+    # keeps CSR taps though its rows reach fewer offsets than their taps. The edge rows of the
+    # first `past` tables reach past the padded line, the _PAD cells of a constant-mode field
+    # included, where the extended lines take the outermost coefficient
     quad = QuadratureSpec(backend="gauss_hermite", nodes_per_dim=32)
-    u = rough_field(dim, (200, 24, 10)[dim - 1], 3.0, boundary_mode=mode, boundary_value=0.75)
+    u = rough_field(dim, points, 3.0, boundary_mode=mode, boundary_value=0.75)
     op = x1_drift_op(dim) if drift == "x1" else variable_op(dim, drift)
-    calls = line_taps_built(op, 0.4, u, quad, interpolation)
+    calls = line_taps_built(op, tau, u, quad, interpolation)
     n = u.points_per_axis
     later = (n, n) if drift is True else (1, n ** (dim - 1))  # per point, or keyed by line
     assert [args[0].shape[:2] for args in calls] == [(n, 1)] + [later] * (dim - 1)
     rng = np.random.default_rng(dim)
-    for cols, w, size, pad, lines, span in calls:
+    for table, (cols, w, size, pad, lines, span) in enumerate(calls):
         if min(cols.shape[:2]) > 1:
             assert span is None and reach(cols, pad)[1] * 8 <= cols[0, 0].size * 12
             continue
         assert span == reach(cols, pad) if cols.shape[0] == 1 else span in (None, reach(cols, pad))
         points = cols + np.arange(size + 1 - cols.shape[0])[:, None, None, None]  # every point's taps
-        kernel = engine._LineTaps(cols.copy(), w, size, pad, lines, reach(cols, pad))
-        csr = engine._LineTaps(points.copy(), np.broadcast_to(w, points.shape).copy(), size, pad, lines, None)
+        kernel = engine._LineTaps(TapArrays(cols, w), size, pad, lines, reach(cols, pad))
+        csr = engine._LineTaps(TapArrays(points, np.broadcast_to(w, points.shape)), size, pad, lines, None)
         assert kernel.matrix is None and csr.matrix is not None
         assert points[0].min() < pad - 3 and points[-1].max() > size + pad + 2
+        if table < past:
+            assert points[0].min() < 0 and points[-1].max() > size + 2 * pad - 1
         for _ in range(2):  # the extension buffer is rewritten by every call
             coeffs = rng.standard_normal((size + 2 * pad, lines))
             assert np.max(np.abs(kernel(coeffs) - csr(coeffs))) <= 1e-15 * np.max(np.abs(coeffs))
@@ -388,6 +409,44 @@ def test_tables_take_kernel_rows_when_they_are_no_larger_than_csr_taps(config, s
     width = reach(cols, pad)[1]
     assert (width * 8 <= cols[0, 0].size * 12) == kernel_rows
     assert span == (reach(cols, pad) if kernel_rows else None)
+
+
+@pytest.mark.parametrize(("dim", "points", "tau"), [(1, 400, 0.01), (2, 24, 0.4), (3, 10, 0.4)], ids=["1d", "2d", "3d"])
+@pytest.mark.parametrize("mode", ["clamp", "constant"])
+def test_kernel_rows_do_not_depend_on_the_build_block(monkeypatch, dim, points, tau, mode):
+    # each row's taps fold in the same order whatever block of keys computes them, so tables built
+    # one key at a time, or all keys at once, equal the default build bit for bit. Axis 1 is keyed
+    # by point (400 * 28 * 4 taps take three default blocks in 1D), axes 2.. by line
+    quad = QuadratureSpec(backend="gauss_hermite", nodes_per_dim=32)
+    u = rough_field(dim, points, 3.0, boundary_mode=mode, boundary_value=0.75)
+
+    def kernels():
+        factors = engine._Step(x1_drift_op(dim), tau, u, quad, "cubic").factors
+        assert all(factor.matrix is None for factor in factors)
+        return [(factor.kernel.shape, factor.kernel.tobytes()) for factor in factors]
+
+    default = kernels()
+    assert dim > 1 or points * 28 * 4 > 2 * engine._BUILD_TAPS
+    for taps in (1, 1 << 40):
+        monkeypatch.setattr(engine, "_BUILD_TAPS", taps)
+        assert kernels() == default
+
+
+def test_building_kernel_rows_holds_the_table_and_one_block():
+    # converge_variable_g at n = 64 (perfbench's var1d): all its taps at once take 3.4 MB, which
+    # glibc gives back to the OS and faults in again at every solve. Built a block of keys at a
+    # time, the build holds the table, its extension buffer and one block of _BUILD_TAPS taps, at
+    # most 64 bytes each with their indices and temporaries, besides the step's per-point arrays
+    cfg = load_config(REPO / "configs" / "converge_variable_g.json")
+    tracemalloc.start()
+    try:
+        step = engine._Step(cfg.operator(), cfg.t_final / 64, cfg.grid, cfg.quadrature, cfg.interpolation)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (factor,) = step.factors
+    assert factor.matrix is None and factor.kernel.shape == (1024, 1, 113)
+    assert peak < factor.kernel.nbytes + factor.extended.nbytes + 64 * engine._BUILD_TAPS + 16 * 1024 * 8
 
 
 def test_the_verify_single_step_and_the_2d_shared_block_pick_as_predicted():
@@ -438,20 +497,30 @@ def x1_drift_op(dim):
     return OperatorL(coeffs=co, A=op.A)
 
 
-@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize(("dim", "points", "tau"), [(2, 24, 0.4), (3, 10, 0.4), (2, 96, 0.6), (3, 96, 0.6)],
+                         ids=["2", "3", "2-past-the-pad", "3-past-the-pad"])
 @pytest.mark.parametrize("interpolation", ["cubic", "linear"])
 @pytest.mark.parametrize("mode", ["clamp", "constant"])
-def test_per_line_stencils_fold_the_drift_weight(dim, interpolation, mode):
+def test_per_line_stencils_fold_the_drift_weight(dim, points, tau, interpolation, mode):
     # scale and tilt along axes 2.. are constant on each grid line and differ between lines, so
-    # each line's taps, drift weights and node weights fold into one kernel
+    # each line's taps, drift weights and node weights fold into one kernel. At 96 points the
+    # edge rows of those kernels reach past the padded line, the _PAD cells of a constant-mode
+    # field included; in 3D the per-node reference, K^3 node values a point, is taken on the
+    # edge lines of axes 2 and 3 in every 19th plane along x1
     op = x1_drift_op(dim)
     quad = QuadratureSpec(backend="gauss_hermite", nodes_per_dim=8)
-    u = rough_field(dim, (24, 10)[dim - 2], 3.0, boundary_mode=mode, boundary_value=0.75)
-    step = engine._Step(op, 0.4, u, quad, interpolation)
+    u = rough_field(dim, points, 3.0, boundary_mode=mode, boundary_value=0.75)
+    step = engine._Step(op, tau, u, quad, interpolation)
     assert all(isinstance(factor, engine._LineTaps) and factor.matrix is None and factor.lines > 1
                for factor in step.factors[1:])
-    ref = _one_step_values(op, 0.4, _FieldEvaluator(u, interpolation), u.meshpoints(), quad)
-    assert np.max(np.abs(step(u, ()).values.ravel() - ref)) <= 1e-13
+    if points == 96:
+        assert all(factor.index[0] < 0 for factor in step.factors[1:])
+    at = np.ones(u.values.shape, dtype=bool)
+    if dim == 3 and points == 96:
+        at[:] = False
+        at[::19, [0, -1], :] = at[::19, :, [0, -1]] = True
+    ref = _one_step_values(op, tau, _FieldEvaluator(u, interpolation), u.meshpoints()[at.ravel()], quad)
+    assert np.max(np.abs(step(u, ()).values[at] - ref)) <= 1e-13
 
 
 def test_building_a_constant_mode_step_applies_no_factor(monkeypatch):
@@ -627,6 +696,59 @@ def test_chernoff_checkpoint_equals_repeated_apply_s(dim):
     assert np.array_equal(res.field.values, u.values)
     assert np.array_equal(res.sup_norms, sup_norms)
     assert np.array_equal(res.interior_sup_norms, interior)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["clamp", "constant"])
+@pytest.mark.parametrize("sign", ["mixed", "negative", "negative zero"])
+def test_step_norms_are_the_largest_magnitudes(dim, mode, sign):
+    # chernoff_solve takes each step's norms as the larger of max and -min, the interior's over the
+    # slices of its box: they equal np.max(np.abs(v)) and its masked max bit for bit, on fields
+    # whose largest magnitude is negative and on a field of -0.0, whose norms are 0.0; the
+    # checkpoints are the steps' values
+    op = variable_op(dim, drift=True)
+    quad = QuadratureSpec(backend="gauss_hermite", nodes_per_dim=8)
+    u0 = rough_field(dim, (128, 32, 12)[dim - 1], 9.0, boundary_mode=mode, boundary_value=0.0)
+    values = {"mixed": u0.values, "negative": -0.5 - np.abs(u0.values), "negative zero": np.full(u0.values.shape, -0.0)}
+    u0 = dataclasses.replace(u0, values=values[sign])
+    plan = ChernoffPlan(t_final=0.3, steps=4, quad=quad, op=op)
+    res = chernoff_solve(plan, u0, checkpoint_steps=range(1, 5))
+    mask = u0.interior_mask(plan.required_margin())
+    assert mask.any() and not mask.all()
+    step, u = engine._Step(op, plan.tau, u0, quad, "cubic"), u0
+    for k in range(1, 5):
+        u = step(u, (k - 1,))
+        assert res.checkpoints[k].values.tobytes() == u.values.tobytes()
+    steps = [res.checkpoints[k].values for k in range(1, 5)]
+    assert res.sup_norms.tobytes() == np.array([np.max(np.abs(v)) for v in steps]).tobytes()
+    assert res.interior_sup_norms.tobytes() == np.array([np.max(np.abs(v[mask])) for v in steps]).tobytes()
+    assert res.field.values.tobytes() == steps[-1].tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_a_non_finite_step_value_raises_at_that_step(monkeypatch, dim, bad):
+    # the step loop checks finiteness with the sup norm of each step's values: a NaN, +inf or -inf
+    # that step 3 leaves at a corner point, outside the interior, raises IntegrandError there,
+    # before step 4 runs
+    applied = []
+    apply = engine._Step.apply
+
+    def spoiled(self, values, stream):
+        applied.append(stream)
+        out = apply(self, values, stream)
+        if len(applied) == 3:
+            out[(0,) * dim] = bad
+        return out
+
+    monkeypatch.setattr(engine._Step, "apply", spoiled)
+    quad = QuadratureSpec(backend="gauss_hermite", nodes_per_dim=8)
+    plan = ChernoffPlan(t_final=0.3, steps=6, quad=quad, op=variable_op(dim, drift=False))
+    u0 = rough_field(dim, (128, 32)[dim - 1], 9.0)
+    assert not u0.interior_mask(plan.required_margin()).flat[0]
+    with pytest.raises(IntegrandError, match="^one-step integral produced a non-finite value$"):
+        chernoff_solve(plan, u0)
+    assert applied == [(0,), (1,), (2,)]
 
 
 def test_bad_checkpoint_raises_before_any_factor_is_built(monkeypatch):

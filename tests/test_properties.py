@@ -189,7 +189,7 @@ def test_only_per_point_taps_count_against_the_tap_table_budget(case):
     line_taps = engine._LineTaps
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "_LineTaps",
-                      lambda cols, *args: lines.append(min(cols.shape[:2])) or line_taps(cols, *args))
+                      lambda taps, *args: lines.append(min(taps.shape)) or line_taps(taps, *args))
         engine._Step(case.op, case.tau, u, case.quad, case.interpolation)
         per_point = any(n > 1 for n in lines)
         lines.clear()
