@@ -33,19 +33,16 @@ geometry and computes the grid points and per-point factors once, and chernoff_s
 iterates it on arrays, making a GridField only for checkpoints and the result.
 Gauss-Hermite node sums are fixed as one linear map per axis, its node weights folded into
 its spline taps when it is built, once per grid line rather than once per point wherever
-the coefficients allow it.  For K nodes per axis, L lines of n points and M grid points, and
-W the grid offsets a point's row reaches (about 2 s z_max / dx + order + 1), kernel rows take
-W * 8 bytes per row plus an extension buffer of (n + W - 1) L * 8: rows keyed by line, one
-per line, always; rows keyed by point and shared by the lines, one per point, when
-W 8 <= K (order + 1) 12, and otherwise CSR taps of at most K n (order + 1) * 12; per-point
-taps take at most K M (order + 1) * 12 bytes (taps on one coefficient are one entry, so
-these are bounds), refused (TapTableError) above _TAP_TABLE_BYTES.  The form is picked from
-the taps of the two outermost nodes, and kernel rows are filled a block of keys (points or
-lines) at a time, about _BUILD_TAPS taps a block, so a build holds the table and one block
-rather than all the taps: those of converge_variable_g's step at n = 64 take 3.4 MB, which
-glibc gives back to the OS once freed, so that each solve would fault about 810 pages in
-again.  chernoff_solve
-takes each step's sup norm as the larger of max and -min, which is also its finiteness check,
+the coefficients allow it.  Every factor is one form, kernel rows dense over the W grid offsets
+a row reaches (about 2 s z_max / dx + order + 1): one row per point shared by the lines, one per
+line shared by its points, or one per point of each line, W * 8 bytes a row, plus an extension
+buffer of (n + W - 1) L * 8 bytes for L lines of n points.  W is taken from the taps of the two
+outermost nodes, and a table above _TAP_TABLE_BYTES is refused (TapTableError) before any other
+tap is computed.  Rows are filled a block of keys (points or lines) at a time, about
+_BUILD_TAPS taps a block, so a build holds the table and one block rather than all the taps:
+those of converge_variable_g's step at n = 64 take 3.4 MB, which glibc gives back to the OS
+once freed, so that each solve would fault about 810 pages in again.  chernoff_solve takes
+each step's sup norm as the larger of max and -min, which is also its finiteness check,
 and the interior's from the slices of the interior box.  Monte Carlo draws fresh nodes at
 every step (Philox stream k-1) and sums them by _node_sum, as tangency_residual does.
 """
@@ -59,7 +56,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.ndimage as ndi
-import scipy.sparse as sp
 
 from .cylinder import Coefficients, CylFunction, OperatorL, apply_L
 from .gauss import IntegrandError, QuadratureSpec, gaussian_nodes, is_integer
@@ -88,7 +84,8 @@ _GATHER_ELEMENTS = 4_000_000
 # spline taps computed at once while a table of kernel rows is built, a block of keys at a time;
 # with their node indices, the block's rows and temporaries they take about 50 bytes each
 _BUILD_TAPS = 1 << 14
-# bytes of one axis factor's per-point tap table, K M (order + 1) * 12, above which it is refused
+# bytes of one axis factor's table of kernel rows, keys W 8, above which it is refused: 256 MiB
+# takes a 1D single step whose reach nearly fills the box (W about 2.74 n) up to about 3,500 points
 _TAP_TABLE_BYTES = 1 << 28
 # Gauss-Hermite nodes the grid step leaves out: weight below 2^-60, far under an ulp of the sum
 _NODE_WEIGHT_FLOOR = 2.0**-60
@@ -137,7 +134,7 @@ class TruncationError(RuntimeError):
 
 
 class TapTableError(RuntimeError):
-    """An axis factor would need a per-point tap table larger than _TAP_TABLE_BYTES."""
+    """An axis factor would need a table of kernel rows larger than _TAP_TABLE_BYTES."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,16 +368,18 @@ class _NodeTaps:
 
     scale and shift are (n, 1) for rows keyed by point, the same on every line; (1, L) for rows
     keyed by line, the same at every point of it, whose node indices are offsets from its first
-    point; or (n, L) per point.  A call computes the tap columns and weights (_spline_taps) of a
-    slice of the keys, (keys, 1, K, order + 1) or (1, keys, K, order + 1), or of every point of a
-    per-point table, (n, L, K, order + 1); `block` keys hold about _BUILD_TAPS taps.
+    point; or (n, L) for rows keyed by each point of each line.  A call computes the tap columns
+    and weights (_spline_taps) of a slice of the points, (points, 1 or L, K, order + 1), or of the
+    lines of a line-keyed table, (1, lines, K, order + 1); `block` such points or lines hold about
+    _BUILD_TAPS taps, a per-point table's counted across its L lines.
     """
 
     def __init__(self, x, scale, shift, nodes, weights, lo, dx, order, pad):
         self.x, self.scale, self.shift, self.nodes, self.weights = x, scale, shift, nodes, weights
         self.lo, self.dx, self.order, self.pad = lo, dx, order, pad
         self.shape = scale.shape
-        self.block = max(1, _BUILD_TAPS // (nodes.size * (order + 1)))
+        keys = self.shape[1] if self.shape[0] > 1 else 1  # keys in one point or line of the slice
+        self.block = max(1, _BUILD_TAPS // (nodes.size * (order + 1) * keys))
 
     def _indices(self, keys: slice, nodes: np.ndarray) -> np.ndarray:
         at = (slice(None), keys) if self.shape[0] == 1 else (keys,)
@@ -399,9 +398,9 @@ class _NodeTaps:
 
     def span(self) -> tuple[int, int]:
         """(first, width): the grid offsets first .. first + width - 1, from each point's own
-        coefficient, that the rows keyed by point or line reach.  Nodes ascend and scale >= 0, so
-        each key's node indices ascend (rounding keeps their order) and the first and last tap
-        columns of its outermost nodes bound all its taps."""
+        coefficient, that the rows reach.  Nodes ascend and scale >= 0, so each key's node indices
+        ascend (rounding keeps their order) and the first and last tap columns of its outermost
+        nodes bound all its taps."""
         ends = np.floor(self._indices(slice(None), self.nodes[[0, -1]])).astype(np.intp)
         ends -= (np.arange(self.shape[0]) + self.pad)[:, None, None]
         first = int(ends[..., 0].min()) - self.order // 2
@@ -409,79 +408,55 @@ class _NodeTaps:
 
 
 class _LineTaps:
-    """Axis factor as a table of weighted spline taps, one row per grid point of a line.
+    """Axis factor as kernel rows of weighted spline taps over grid offsets.
 
     Maps coefficients arranged (padded size, L), one grid line along the axis per column, to
     node sums (size, L).  `taps` (_NodeTaps) gives the tap columns and weights of its rows: keyed
     by point, the same on every line; keyed by line, the same at every point of it, holding the
-    taps of its first point; or per point of each line.  `lines` is L in every case.  Columns
-    index the padded line.  Each row holds the K (order + 1) taps of its point, each times its node
-    weight, so it sums to 1.  It is stored in one of two forms, picked by _axis_factor:
+    taps of its first point; or keyed by each point of each line.  `lines` is L in every case.
+    Each row holds the K (order + 1) taps of its key, each times its node weight, so it sums to 1,
+    as a dense row over the grid offsets first .. first + width - 1 (span) from the point's own
+    coefficient: the table is (points, width, lines), with 1 for the points of rows keyed by line
+    and for the lines of rows keyed by point.
 
-    kernel rows (span = (first, width), rows keyed by point or by line): a dense row over the grid
-    offsets first .. first + width - 1 from the point's own coefficient.  The table is filled a
-    block of keys at a time: one bincount folds the block's taps by offset into its rows, in the
-    order the taps of one row come, so a row has the same bits whatever the block.  Only the
-    table and one block's taps (about _BUILD_TAPS of them) are held at once.  A tap past the edge
-    keeps its offset and reads the coefficient lines extended past the edge by the edge
-    coefficient.  The extension is a buffer kept with the factor, with its view of sliding
-    windows (a new view costs about 12 us a call), so a call is not reentrant.  A point's row
-    contracts its window on all lines by np.matmul, whose bits do not depend on the number of BLAS
-    threads; rows keyed by line, a contiguous (width, L) array, contract each line's windows by
-    np.einsum, which calls no BLAS.
-
-    CSR taps (span None): all the taps at once, as one sparse block, (size x padded size) applied
-    to all columns at once when shared, or one block per line, where the tap at coefficient j of
-    line r is column j L + r of the raveled coefficients.  Taps that read the same coefficient
-    (those of neighbouring nodes, and every tap clipped to the edge) are summed into one entry, so
-    a row names each column once, in increasing order.  Columns are intp, since 4-axis grids can
-    pass 2^31 cells; scipy stores them in int32 when they fit.
+    The table is filled a block of keys at a time: one bincount folds the block's taps by offset
+    into its rows, in the order the taps of one row come, so a row has the same bits whatever the
+    block.  Only the table and one block's taps (about _BUILD_TAPS of them) are held at once.  A
+    tap past the edge keeps its offset and reads the coefficient lines extended past the edge by
+    the edge coefficient.  The extension is a buffer kept with the factor, with its view of
+    sliding windows (a new view costs about 12 us a call), so a call is not reentrant.  Rows
+    keyed by point contract each point's window on all lines by np.matmul, whose bits do not
+    depend on the number of BLAS threads; the others contract each point's window on each line
+    with its row by np.einsum, which calls no BLAS, a line's row broadcast over its points
+    (np.einsum is 2.6 times slower than np.matmul on rows shared by 128 lines).
     """
 
-    def __init__(self, taps: _NodeTaps, size: int, pad: int, lines: int, span):
-        self.size, self.lines = size, taps.shape[1]
-        self.matrix = None
-        if span is None:
-            cols, w = taps()
-            padded = size + 2 * pad
-            np.clip(cols, 0, padded - 1, out=cols)
-            cols *= self.lines
-            cols += np.arange(self.lines, dtype=np.intp)[:, None, None]
-            self.matrix = sp.csr_matrix(
-                (w.ravel(), cols.ravel(), np.arange(0, w.size + 1, cols[0, 0].size, dtype=np.intp)),
-                shape=(size * self.lines, padded * self.lines),
-            )
-            self.matrix.sum_duplicates()
-            return
+    def __init__(self, taps: _NodeTaps, size: int, pad: int, lines: int, span: tuple[int, int]):
         first, width = span
-        keys = taps.shape[0] * taps.shape[1]  # points or lines: the other axis has length 1
+        self.size, self.lines = size, taps.shape[1]
         by_line = taps.shape[0] == 1
-        # a row vector per point, for matmul, or a column of offsets per line, for einsum
-        table = np.empty((width, keys)).T if by_line else np.empty((keys, width))
-        for start in range(0, keys, taps.block):
+        table = np.empty((taps.shape[0], width, self.lines))
+        for start in range(0, taps.shape[1 if by_line else 0], taps.block):
             cols, w = taps(slice(start, start + taps.block))
-            rows = cols.shape[0] * cols.shape[1]
+            keys = np.arange(cols.shape[0] * cols.shape[1]).reshape(cols.shape[:2])  # (points, lines)
             # a point's own coefficient; a line's columns are those of its first point
-            own = pad if by_line else np.arange(start, start + rows)[:, None] + pad
-            # the tap of key start + r at column c is entry (r, c - own - first) of the block
-            cols += (np.arange(rows).reshape(cols.shape[:2]) * width - own - first)[..., None, None]
-            block = np.bincount(cols.ravel(), w.ravel(), minlength=rows * width)
-            table[start : start + rows] = block.reshape(rows, width)
-        self.kernel = table.T if by_line else table[:, None]
+            own = pad if by_line else np.arange(start, start + len(keys))[:, None] + pad
+            # the tap of key r of the block at column c is entry (r, c - own - first) of its rows
+            cols += (keys * width - own - first)[..., None, None]
+            block = np.bincount(cols.ravel(), w.ravel(), minlength=keys.size * width)
+            at = np.s_[..., start : start + keys.shape[1]] if by_line else np.s_[start : start + len(keys)]
+            table[at] = block.reshape(keys.shape + (width,)).swapaxes(1, 2)
+        self.kernel = table.swapaxes(1, 2) if self.lines == 1 else table  # (size, 1, width) for matmul
         self.index = np.arange(pad + first, pad + first + size + width - 1)  # clipped by np.take
         self.extended = np.empty((size + width - 1, lines))
         self.windows = np.lib.stride_tricks.sliding_window_view(self.extended, width, axis=0).swapaxes(1, 2)
 
     def __call__(self, coeffs: np.ndarray) -> np.ndarray:
-        lines = coeffs.shape[1]
-        if self.matrix is not None:
-            # one shared block multiplies the coefficient matrix; a single column stays a matvec
-            return (self.matrix @ (coeffs if self.lines < lines else coeffs.ravel())).reshape(self.size, lines)
         np.take(coeffs, self.index, axis=0, out=self.extended, mode="clip")
         if self.lines > 1:
-            return np.einsum("jwr,wr->jr", self.windows, self.kernel)
+            return np.einsum("jwr,jwr->jr", self.windows, self.kernel)
         # (1 x width) @ (width x L) at each point
-        return np.matmul(self.kernel, self.windows).reshape(self.size, lines)
+        return np.matmul(self.kernel, self.windows).reshape(self.size, coeffs.shape[1])
 
 
 def _lines(a: np.ndarray, axis: int) -> np.ndarray:
@@ -492,43 +467,36 @@ def _lines(a: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _axis_factor(x: np.ndarray, scale: np.ndarray, shift: np.ndarray, nodes: np.ndarray,
-                 weights: np.ndarray, lo: float, dx: float, order: int, pad: int):
+                 weights: np.ndarray, lo: float, dx: float, order: int, pad: int) -> _LineTaps:
     """Factor along the axis with coordinates x, for scale and shift given per line (_lines), on
     coefficients padded by `pad` cells at each end: the spline taps at the nodes
-    x + shift + scale z_k, each times its node weight.
+    x + shift + scale z_k, each times its node weight, as kernel rows (_LineTaps).
 
     Its rows follow scale and shift: keyed by point and shared by every line when they are the
     same on each line, keyed by line and shared by its points when they are constant along each
-    line, and per point otherwise; those are refused with TapTableError, before any is computed,
-    when they would take more than _TAP_TABLE_BYTES.  Rows keyed by point or line reach the W grid
-    offsets between the extremes of their first and last tap columns, taken from each point's own
-    coefficient; those come from the taps of the two outermost nodes alone (_NodeTaps.span), so
-    the form is picked before any other tap is computed.  Line-keyed rows are always kernel rows
-    over them; point-keyed rows are when W 8 <= K (order + 1) 12, the bytes a row of CSR taps can
-    take at most, and CSR taps otherwise; per-point tables always take CSR taps.  Kernel rows are
-    filled a block of about _BUILD_TAPS taps at a time (_LineTaps), so building them holds the
-    table and one block, not all the taps: those of converge_variable_g's step at n = 64 take
-    3.4 MB, which glibc hands back to the OS when they are freed, so that each solve would
-    fault them in again (about 810 minor page faults).
+    line, and keyed by each point of each line otherwise.  They reach the W grid offsets between
+    the extremes of their first and last tap columns, taken from each point's own coefficient;
+    those come from the taps of the two outermost nodes alone (_NodeTaps.span), so a table of
+    keys W 8 bytes above _TAP_TABLE_BYTES is refused with TapTableError before any other tap is
+    computed.  The table is then filled a block of about _BUILD_TAPS taps at a time, so building
+    it holds the table and one block, not all the taps: those of converge_variable_g's step at
+    n = 64 take 3.4 MB, which glibc hands back to the OS when they are freed, so that each solve
+    would fault them in again (about 810 minor page faults).
     """
     lines = scale.shape[1]
     if np.all(scale == scale[:, :1]) and np.all(shift == shift[:, :1]):
         scale, shift = scale[:, :1], shift[:, :1]
     elif np.all(scale == scale[:1]) and np.all(shift == shift[:1]):
         scale, shift = scale[:1], shift[:1]  # one value per line
-    elif (table := nodes.size * scale.size * (order + 1) * 12) > _TAP_TABLE_BYTES:
+    taps = _NodeTaps(x, scale, shift, nodes, weights, lo, dx, order, pad)
+    first, width = taps.span()
+    if (table := scale.size * width * 8) > _TAP_TABLE_BYTES:
         raise TapTableError(
-            f"per-point taps along one axis would take {table} bytes, more than the budget of "
-            f"{_TAP_TABLE_BYTES}; use fewer points or nodes, or coefficients constant along or "
+            f"kernel rows along one axis would take {table} bytes, more than the budget of "
+            f"{_TAP_TABLE_BYTES}; use fewer points, more steps, or coefficients constant along or "
             "across the axis"
         )
-    taps = _NodeTaps(x, scale, shift, nodes, weights, lo, dx, order, pad)
-    span = None
-    if 1 in scale.shape:
-        first, width = taps.span()
-        if scale.shape[0] == 1 or width * 8 <= nodes.size * (order + 1) * 12:
-            span = (first, width)
-    return _LineTaps(taps, x.size, pad, lines, span)
+    return _LineTaps(taps, x.size, pad, lines, (first, width))
 
 
 class _Step:
@@ -551,21 +519,17 @@ class _Step:
     with u the factor's input (boundary_value included in constant mode), so leaving them
     out moves a factor's output by at most 3.2e-18 ||u||_inf at K = 32.
 
-    The factor's rows, each the K (order + 1) weighted taps of one point, are picked from the
-    scale s and shift tau q_i B_i along axis i alone (_axis_factor):
+    The factor's rows, each the K (order + 1) weighted taps of one point, are keyed by what
+    the scale s and shift tau q_i B_i along axis i alone vary with (_axis_factor):
       (a) the same on every line along axis i (always in 1D, and on axis 1 when the
           coefficients depend on x_1 only): n rows keyed by point for lines of n points,
           applied to every line;
       (b) constant along each line and different between lines (axes 2.. when the
           coefficients depend on x_1 only): one row keyed by line, applied at every point of it;
-      (c) otherwise: taps per point, one CSR block of n rows per line.
-    Rows of (a) and (b) are kernel rows, dense over the W grid offsets they reach, read from
-    the lines extended by an edge buffer of (n + W - 1) L * 8 bytes for L lines.  Those of (a)
-    are kernel rows only when W 8 <= K (order + 1) 12, the most bytes a row's CSR taps can take,
-    and keep the CSR taps otherwise.  At K = 32 (28 kept nodes, cubic) that is W <= 168, about
-    s / dx <= 10: converge_variable_g at n = 32 and 64 takes kernel rows, at n = 4 .. 16 CSR taps.
-    In 1D this agrees with _node_sum's per-node summation up to rounding (2e-15 on fields of
-    size 1).  In d >= 2 the factors' product is the tensor step, up to rounding, when g
+      (c) otherwise: one row keyed by each point of each line.
+    All are kernel rows, dense over the W grid offsets they reach, read from the lines extended
+    by an edge buffer of (n + W - 1) L * 8 bytes for L lines.  In 1D this agrees with
+    _node_sum's per-node summation up to rounding (2e-15 on fields of size 1).  In d >= 2 the factors' product is the tensor step, up to rounding, when g
     depends on x_1 only and B_j on x_1 .. x_j only, so that no factor's weights change along
     the axes filtered after it; otherwise it is their Lie product, O(tau^2) per step from it
     and still first order (Chernoff 1968).  Every read past the edge takes the edge
@@ -670,7 +634,7 @@ def chernoff_solve(plan: ChernoffPlan, u0: GridField, checkpoint_steps: Sequence
             f"chain margin {margin:.3g} leaves no grid point in the interior at spacing {dx:.3g}; "
             "enlarge or refine the grid"
         )
-    # the checks above come first: building the step can take a per-point table of _TAP_TABLE_BYTES
+    # the checks above come first: building the step can take a table of _TAP_TABLE_BYTES
     step_S = _Step(plan.op, plan.tau, u0, plan.quad, plan.interpolation)
     sup_norms = np.empty(plan.steps)
     interior = np.empty(plan.steps)

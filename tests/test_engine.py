@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from gausspde import engine
@@ -301,25 +302,6 @@ def test_compiled_step_matches_per_node_reference(dim, nodes, interpolation, mod
     assert np.max(np.abs(out - ref)) <= 1e-13
 
 
-def test_line_taps_name_each_column_once_in_increasing_order():
-    # neighbouring nodes share spline taps, and edge rows clip many taps onto the edge column:
-    # both are folded into one entry, in the shared block (axis 1) and in per-point blocks
-    g = CylFunction(dim=2, eval=lambda x: 1.0 + 0.5 * np.sin(x[:, 0]) * np.cos(x[:, 1]), sup_bound=1.5)
-    co = Coefficients(g=g, B=None, C=CylFunction.constant(0.0, 2), g_floor=0.5)
-    per_point = OperatorL(coeffs=co, A=TraceClassOperator([0.5, 0.25]))
-    quad = QuadratureSpec(backend="gauss_hermite", nodes_per_dim=32)
-    for op, u in [(variable_op(1, drift=True), rough_field(1, 200, 3.0)), (per_point, rough_field(2, 24, 3.0))]:
-        for factor in engine._Step(op, 0.4, u, quad, "cubic").factors:
-            assert isinstance(factor, engine._LineTaps)
-            m = factor.matrix
-            starts = np.zeros(m.nnz, dtype=bool)
-            starts[m.indptr[:-1]] = True
-            assert np.all(np.diff(m.indices)[~starts[1:]] > 0)
-            # the first point of every line reads its edge coefficient, once
-            assert np.array_equal(m.indices[m.indptr[: factor.lines]], np.arange(factor.lines))
-            assert m.indptr[1] < 28 * 4  # fewer entries than the taps of its 28 kept nodes
-
-
 def line_taps_built(op, tau, u, quad, interpolation):
     """The arguments of every _LineTaps table the step builds, its taps as the tap columns and
     weights of all its keys at once."""
@@ -337,7 +319,7 @@ class TapArrays:
 
     def __init__(self, cols, w):
         self.cols, self.w, self.shape = cols, w, cols.shape[:2]
-        self.block = self.shape[0] * self.shape[1]
+        self.block = max(self.shape)
 
     def __call__(self, keys=slice(None)):
         at = (slice(None), keys) if self.shape[0] == 1 else (keys,)
@@ -352,6 +334,18 @@ def reach(cols, pad):
     return first, int(offsets.max()) - first + 1
 
 
+def csr_taps(cols, w, size, pad, lines):
+    """The reference a table of kernel rows is checked against: the tap columns cols and weights w
+    of every point, (size, 1 or L, K, order + 1), as one sparse block of size L rows by padded size
+    L columns applied to the raveled coefficient lines, the tap at coefficient j of line r at
+    column j L + r, with taps past the padded line clipped onto its edge coefficient."""
+    cols = np.clip(cols, 0, size + 2 * pad - 1) * lines + np.arange(lines)[:, None, None]
+    w = np.broadcast_to(w, cols.shape)
+    matrix = sp.csr_matrix((w.ravel(), cols.ravel(), np.arange(0, w.size + 1, cols[0, 0].size)),
+                           shape=(size * lines, (size + 2 * pad) * lines))
+    return lambda coeffs: (matrix @ coeffs.ravel()).reshape(size, lines)
+
+
 @pytest.mark.parametrize(
     ("dim", "drift", "points", "tau", "past"),
     [(1, False, 200, 0.4, 0), (1, True, 200, 0.4, 0), (2, False, 24, 0.4, 0), (2, True, 24, 0.4, 0),
@@ -362,15 +356,14 @@ def reach(cols, pad):
 @pytest.mark.parametrize("interpolation", ["cubic", "linear"])
 @pytest.mark.parametrize("mode", ["clamp", "constant"])
 def test_kernel_rows_match_csr_taps(dim, drift, points, tau, past, interpolation, mode):
-    # the kernel rows of every table the step keys by point or by line, against CSR taps of the
-    # same offsets at every point, on random coefficient lines: the nodes of the edge points reach
-    # past the field's edge, where the kernel rows read the extended lines and the CSR taps the
-    # clipped columns. In 2D and 3D, axis 1 is keyed by point; axes 2.. are keyed by line when the
-    # coefficients depend on x1 alone (no drift, or x1_drift_op's). With variable_op's drift, axis
-    # 2's scale varies across its lines and its shift along them, so its table is per point, and
-    # keeps CSR taps though its rows reach fewer offsets than their taps. The edge rows of the
-    # first `past` tables reach past the padded line, the _PAD cells of a constant-mode field
-    # included, where the extended lines take the outermost coefficient
+    # the kernel rows of every table the step builds, against CSR taps of the same offsets at every
+    # point, on random coefficient lines: the nodes of the edge points reach past the field's edge,
+    # where the kernel rows read the extended lines and the CSR taps the clipped columns. In 2D and
+    # 3D, axis 1 is keyed by point; axes 2.. are keyed by line when the coefficients depend on x1
+    # alone (no drift, or x1_drift_op's). With variable_op's drift, axis 2's scale varies across its
+    # lines and its shift along them, so its rows are keyed by each point of each line. The edge
+    # rows of the first `past` tables reach past the padded line, the _PAD cells of a constant-mode
+    # field included, where the extended lines take the outermost coefficient
     quad = QuadratureSpec(backend="gauss_hermite", nodes_per_dim=32)
     u = rough_field(dim, points, 3.0, boundary_mode=mode, boundary_value=0.75)
     op = x1_drift_op(dim) if drift == "x1" else variable_op(dim, drift)
@@ -380,14 +373,10 @@ def test_kernel_rows_match_csr_taps(dim, drift, points, tau, past, interpolation
     assert [args[0].shape[:2] for args in calls] == [(n, 1)] + [later] * (dim - 1)
     rng = np.random.default_rng(dim)
     for table, (cols, w, size, pad, lines, span) in enumerate(calls):
-        if min(cols.shape[:2]) > 1:
-            assert span is None and reach(cols, pad)[1] * 8 <= cols[0, 0].size * 12
-            continue
-        assert span == reach(cols, pad) if cols.shape[0] == 1 else span in (None, reach(cols, pad))
+        assert span == reach(cols, pad)
         points = cols + np.arange(size + 1 - cols.shape[0])[:, None, None, None]  # every point's taps
-        kernel = engine._LineTaps(TapArrays(cols, w), size, pad, lines, reach(cols, pad))
-        csr = engine._LineTaps(TapArrays(points, np.broadcast_to(w, points.shape)), size, pad, lines, None)
-        assert kernel.matrix is None and csr.matrix is not None
+        kernel = engine._LineTaps(TapArrays(cols, w), size, pad, lines, span)
+        csr = csr_taps(points, w, size, pad, lines)
         assert points[0].min() < pad - 3 and points[-1].max() > size + pad + 2
         if table < past:
             assert points[0].min() < 0 and points[-1].max() > size + 2 * pad - 1
@@ -396,37 +385,25 @@ def test_kernel_rows_match_csr_taps(dim, drift, points, tau, past, interpolation
             assert np.max(np.abs(kernel(coeffs) - csr(coeffs))) <= 1e-15 * np.max(np.abs(coeffs))
 
 
-@pytest.mark.parametrize(
-    ("config", "steps", "kernel_rows"),
-    [("converge_variable_g", 64, True), ("converge_variable_g", 32, True), ("converge_variable_g", 16, False)],
-)
-def test_tables_take_kernel_rows_when_they_are_no_larger_than_csr_taps(config, steps, kernel_rows):
-    # K = 28 kept cubic nodes: kernel rows when they reach at most 28 * 4 * 12 / 8 = 168 offsets.
-    # converge_variable_g at n = 64 is perfbench's var1d (113 offsets); n = 16 reaches 221
-    cfg = load_config(REPO / "configs" / f"{config}.json")
-    (cols, _, _, pad, _, span), = line_taps_built(cfg.operator(), cfg.t_final / steps, cfg.grid,
-                                                   cfg.quadrature, cfg.interpolation)
-    width = reach(cols, pad)[1]
-    assert (width * 8 <= cols[0, 0].size * 12) == kernel_rows
-    assert span == (reach(cols, pad) if kernel_rows else None)
-
-
 @pytest.mark.parametrize(("dim", "points", "tau"), [(1, 400, 0.01), (2, 24, 0.4), (3, 10, 0.4)], ids=["1d", "2d", "3d"])
 @pytest.mark.parametrize("mode", ["clamp", "constant"])
 def test_kernel_rows_do_not_depend_on_the_build_block(monkeypatch, dim, points, tau, mode):
     # each row's taps fold in the same order whatever block of keys computes them, so tables built
-    # one key at a time, or all keys at once, equal the default build bit for bit. Axis 1 is keyed
-    # by point (400 * 28 * 4 taps take three default blocks in 1D), axes 2.. by line
+    # one point or line at a time, or all keys at once, equal the default build bit for bit. Axis 1
+    # is keyed by point; with x1_drift_op axes 2.. are keyed by line, with variable_op's drift by
+    # each point of each line. 400 * 28 * 4 taps in 1D, and the per-point tables' M * 28 * 4, take
+    # several default blocks
     quad = QuadratureSpec(backend="gauss_hermite", nodes_per_dim=32)
     u = rough_field(dim, points, 3.0, boundary_mode=mode, boundary_value=0.75)
+    ops = (x1_drift_op(dim), variable_op(dim, drift=True))
 
     def kernels():
-        factors = engine._Step(x1_drift_op(dim), tau, u, quad, "cubic").factors
-        assert all(factor.matrix is None for factor in factors)
-        return [(factor.kernel.shape, factor.kernel.tobytes()) for factor in factors]
+        steps = [engine._Step(op, tau, u, quad, "cubic") for op in ops]
+        return [[(factor.kernel.shape, factor.kernel.tobytes()) for factor in step.factors] for step in steps]
 
     default = kernels()
-    assert dim > 1 or points * 28 * 4 > 2 * engine._BUILD_TAPS
+    assert all(shape[::2] == (points, points ** (dim - 1)) for shape, _ in default[1][1:])
+    assert points**dim * 28 * 4 > 2 * engine._BUILD_TAPS
     for taps in (1, 1 << 40):
         monkeypatch.setattr(engine, "_BUILD_TAPS", taps)
         assert kernels() == default
@@ -445,23 +422,22 @@ def test_building_kernel_rows_holds_the_table_and_one_block():
     finally:
         tracemalloc.stop()
     (factor,) = step.factors
-    assert factor.matrix is None and factor.kernel.shape == (1024, 1, 113)
+    assert factor.kernel.shape == (1024, 1, 113)
     assert peak < factor.kernel.nbytes + factor.extended.nbytes + 64 * engine._BUILD_TAPS + 16 * 1024 * 8
 
 
 def test_the_verify_single_step_and_the_2d_shared_block_pick_as_predicted():
     # the battery's constant-coefficient row at n = 1 (g = 1, tau = 1, 512 points on +-9.2)
-    # reaches 461 offsets and keeps CSR taps; var2d's axis-1 block at K = 8 reaches 31 of the
-    # 8 * 4 * 12 / 8 = 48 offsets its taps could take, and takes kernel rows, and its axis-2
-    # rows, one per line of 128, reach 23
+    # reaches 461 offsets; var2d's axis-1 rows at K = 8 reach 31, and its axis-2 rows, one per
+    # line of 128, reach 23
     verify = load_config(REPO / "configs" / "verify_default.json")
     u0 = GridField.from_function(((-9.2, 9.2),), 512, lambda x: np.cos(x[:, 0]))
-    (args,) = line_taps_built(const_op(g=1.0, c=-1.0), 1.0, u0, verify.quadrature, "cubic")
-    assert args[-1] is None and reach(args[0], 0)[1] == 461
+    (factor,) = engine._Step(const_op(g=1.0, c=-1.0), 1.0, u0, verify.quadrature, "cubic").factors
+    assert factor.kernel.shape == (512, 1, 461)
     var2d = load_config(REPO / "perfbench" / "configs" / "var2d.json")
-    args, line_keyed = line_taps_built(var2d.operator(), var2d.t_final / 4, var2d.grid, var2d.quadrature, "cubic")
-    assert args[-1] == reach(args[0], 0) and args[-1][1] == 31 and args[4] == 128
-    assert line_keyed[0].shape[:2] == (1, 128) and line_keyed[-1] == reach(line_keyed[0], 0) and line_keyed[-1][1] == 23
+    step = engine._Step(var2d.operator(), var2d.t_final / 4, var2d.grid, var2d.quadrature, "cubic")
+    shared, line_keyed = step.factors
+    assert shared.kernel.shape == (128, 1, 31) and line_keyed.kernel.shape == (1, 23, 128)
 
 
 @pytest.mark.parametrize("points", range(2, 17))
@@ -511,8 +487,7 @@ def test_per_line_stencils_fold_the_drift_weight(dim, points, tau, interpolation
     quad = QuadratureSpec(backend="gauss_hermite", nodes_per_dim=8)
     u = rough_field(dim, points, 3.0, boundary_mode=mode, boundary_value=0.75)
     step = engine._Step(op, tau, u, quad, interpolation)
-    assert all(isinstance(factor, engine._LineTaps) and factor.matrix is None and factor.lines > 1
-               for factor in step.factors[1:])
+    assert all(isinstance(factor, engine._LineTaps) and factor.kernel.shape[0] == 1 for factor in step.factors[1:])
     if points == 96:
         assert all(factor.index[0] < 0 for factor in step.factors[1:])
     at = np.ones(u.values.shape, dtype=bool)
@@ -587,14 +562,17 @@ def test_applying_the_step_makes_no_array_per_node(mode):
 
 
 def test_per_point_taps_past_the_budget_are_refused_before_any_is_computed(monkeypatch):
-    # g of x1 and x2 varies along and across both axes: per-point taps at K = 16 cubic nodes
-    # of 256^2 points take K M (order + 1) 12 B = 50 MB per axis, the node indices alone 8 MB
+    # g of x1 and x2 varies along and across both axes, so both axes take rows keyed by each point
+    # of each line: at K = 16 cubic nodes on 256^2 points axis 1's rows reach 49 offsets, M W 8 B =
+    # 25.7 MB, and the node indices alone take 8 MB. Within the budget, the build holds the tables,
+    # their extension buffers and one block of _BUILD_TAPS taps, at most 64 bytes each with their
+    # indices and temporaries, besides the step's per-point arrays, about 8 doubles a point
     g = CylFunction(dim=2, eval=lambda x: 1.0 + 0.5 * np.sin(x[:, 0]) * np.cos(x[:, 1]), sup_bound=1.5)
     co = Coefficients(g=g, B=None, C=CylFunction.constant(0.0, 2), g_floor=0.5)
     op = OperatorL(coeffs=co, A=TraceClassOperator([0.5, 0.25]))
     quad = QuadratureSpec(backend="gauss_hermite", nodes_per_dim=16)
     u = GridField.from_function([(-8.0, 8.0)] * 2, 256, lambda x: np.cos(x[:, 0]) * np.cos(x[:, 1]))
-    table = 16 * 256**2 * 4 * 12
+    table = 256**2 * 49 * 8
     monkeypatch.setattr(engine, "_TAP_TABLE_BYTES", table - 1)
     tracemalloc.start()
     try:
@@ -605,7 +583,15 @@ def test_per_point_taps_past_the_budget_are_refused_before_any_is_computed(monke
         tracemalloc.stop()
     assert peak < 16 * 256**2 * 8
     monkeypatch.setattr(engine, "_TAP_TABLE_BYTES", table)
-    assert isinstance(engine._Step(op, 1.0 / 32, u, quad, "cubic").factors[0], engine._LineTaps)
+    tracemalloc.start()
+    try:
+        step = engine._Step(op, 1.0 / 32, u, quad, "cubic")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [factor.kernel.shape for factor in step.factors] == [(256, 49, 256), (256, 37, 256)]
+    held = sum(factor.kernel.nbytes + factor.extended.nbytes for factor in step.factors)
+    assert peak < held + 64 * engine._BUILD_TAPS + 8 * 256**2 * 8
 
 
 def test_compiled_step_is_the_lie_product_when_g_varies_along_a_later_axis():
@@ -752,7 +738,7 @@ def test_a_non_finite_step_value_raises_at_that_step(monkeypatch, dim, bad):
 
 
 def test_bad_checkpoint_raises_before_any_factor_is_built(monkeypatch):
-    # a per-point tap table can take up to _TAP_TABLE_BYTES, so the checkpoints are checked first
+    # a tap table can take up to _TAP_TABLE_BYTES, so the checkpoints are checked first
     built = []
     monkeypatch.setattr(engine, "_axis_factor", lambda *args: built.append(args))
     quad = QuadratureSpec(backend="gauss_hermite", nodes_per_dim=8)
@@ -765,7 +751,7 @@ def test_bad_checkpoint_raises_before_any_factor_is_built(monkeypatch):
 
 
 def test_empty_interior_raises_before_any_factor_is_built(monkeypatch):
-    # a per-point tap table can take up to _TAP_TABLE_BYTES, so the interior is checked first
+    # a tap table can take up to _TAP_TABLE_BYTES, so the interior is checked first
     built = []
     monkeypatch.setattr(engine, "_axis_factor", lambda *args: built.append(args))
     op = const_op(g=1.0, c=0.0, q=(0.5,), contractive=True)

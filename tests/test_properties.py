@@ -8,6 +8,7 @@ coefficient does, so the Gauss-Hermite grid step meets each of its three factor 
 
 import math
 import tempfile
+import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -65,7 +66,7 @@ def cases(draw, drift=True, always_drift=False, c_nonpositive=False, modes=("cla
           interpolations=("cubic", "linear"), max_dim=3):
     dim = draw(st.sampled_from(range(1, max_dim + 1)))
     # coefficients of x1 alone give the grid step's rows keyed by point on axis 1 and by line on
-    # the later axes; waves along every axis give per-point taps
+    # the later axes; waves along every axis give rows keyed by each point
     x1_only = draw(st.booleans())
     halves = [draw(st.floats(1.0, 6.0)) for _ in range(dim)]
     bounds = tuple((c - h, c + h) for c, h in zip((draw(st.floats(-2.0, 2.0)) for _ in range(dim)), halves))
@@ -181,22 +182,43 @@ def test_node_sum_does_not_depend_on_the_chunk_size(case):
 
 @PROPERTY
 @given(cases())
-def test_only_per_point_taps_count_against_the_tap_table_budget(case):
-    # with no budget at all, a step whose factors all have rows keyed by point or by line still
-    # builds; one that needs per-point taps is refused before any per-point table exists
+def test_every_tap_table_counts_against_the_tap_table_budget(case):
+    # every factor is a table of kernel rows, keys W 8 bytes, whatever its keys: a budget one
+    # byte short of the largest refuses the step, and a budget of exactly its bytes builds it.
+    # Monte Carlo builds no table, so no budget refuses it
     u = case.field(np.zeros(case.shape))
-    lines = []  # of every _LineTaps built: 1 for rows keyed by point or line, the lines for per-point taps
-    line_taps = engine._LineTaps
+    step = engine._Step(case.op, case.tau, u, case.quad, case.interpolation)
+    largest = max((factor.kernel.nbytes for factor in step.factors), default=0) if step.gauss_hermite else 0
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(engine, "_LineTaps",
-                      lambda taps, *args: lines.append(min(taps.shape)) or line_taps(taps, *args))
-        engine._Step(case.op, case.tau, u, case.quad, case.interpolation)
-        per_point = any(n > 1 for n in lines)
-        lines.clear()
-        patch.setattr(engine, "_TAP_TABLE_BYTES", 0)
-        if per_point:
-            with pytest.raises(engine.TapTableError):
+        patch.setattr(engine, "_TAP_TABLE_BYTES", largest - 1)
+        if step.gauss_hermite:
+            with pytest.raises(engine.TapTableError, match=f"take {largest} bytes"):
                 engine._Step(case.op, case.tau, u, case.quad, case.interpolation)
         else:
             engine._Step(case.op, case.tau, u, case.quad, case.interpolation)
-    assert all(n == 1 for n in lines)
+        patch.setattr(engine, "_TAP_TABLE_BYTES", largest)
+        engine._Step(case.op, case.tau, u, case.quad, case.interpolation)
+
+
+def test_a_1d_table_at_the_reach_limit_is_refused_before_it_is_allocated():
+    # a single step whose one-step reach nearly fills the box: at K = 32 the 28 kept nodes of the
+    # 512 points reach W = 1403 offsets, about 2.74 n, so the table takes 512 W 8 B = 5.7 MB. One
+    # byte less of budget refuses it, and the build holds far less than the table
+    co = Coefficients(g=CylFunction.constant(1.0, 1), B=None, C=CylFunction.constant(0.0, 1), g_floor=1.0)
+    op = OperatorL(coeffs=co, A=TraceClassOperator([0.5]))
+    quad = QuadratureSpec("gauss_hermite", nodes_per_dim=32)
+    u = GridField([(-9.2, 9.2)], np.zeros(512))
+    tau = 0.999 * (2 * 9.2 / 6.0) ** 2 / (2 * 0.5)  # the reach 6 sqrt(2 tau g q) just under the width
+    table = 512 * 1403 * 8
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_TAP_TABLE_BYTES", table - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(engine.TapTableError, match=f"take {table} bytes"):
+                engine._Step(op, tau, u, quad, "cubic")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table / 8
+        patch.setattr(engine, "_TAP_TABLE_BYTES", table)
+        assert engine._Step(op, tau, u, quad, "cubic").factors[0].kernel.shape == (512, 1, 1403)
