@@ -31,18 +31,11 @@ On a grid S_tau is linear and the same at every step, so one step object per
 chernoff_solve (and per apply_S call), _Step, serves both backends: it checks the
 geometry and computes the grid points and per-point factors once, and chernoff_solve
 iterates it on arrays, making a GridField only for checkpoints and the result.
-Gauss-Hermite node sums are fixed as one linear map per axis, its node weights folded into
-its spline taps when it is built, once per grid line rather than once per point wherever
-the coefficients allow it.  Every factor is one form, kernel rows dense over the W grid offsets
-a row reaches (about 2 s z_max / dx + order + 1): one row per point shared by the lines, one per
-line shared by its points, or one per point of each line, W * 8 bytes a row, plus an extension
-buffer of (n + W - 1) L * 8 bytes for L lines of n points.  W is taken from the taps of the two
-outermost nodes, and a table above _TAP_TABLE_BYTES is refused (TapTableError) before any other
-tap is computed.  Rows are filled a block of keys (points or lines) at a time, about
-_BUILD_TAPS taps a block, so a build holds the table and one block rather than all the taps:
-those of converge_variable_g's step at n = 64 take 3.4 MB, which glibc gives back to the OS
-once freed, so that each solve would fault about 810 pages in again.  chernoff_solve takes
-each step's sup norm as the larger of max and -min, which is also its finiteness check,
+Gauss-Hermite node sums are fixed as one linear map per axis, _AxisFactor, which owns
+its keying, span, budget, blocked build and contraction: its node weights are folded into
+kernel rows of spline taps over grid offsets when it is built, once per grid line rather
+than once per point wherever the coefficients allow it.  chernoff_solve takes each step's
+sup norm as the larger of max and -min, which is also its finiteness check,
 and the interior's from the slices of the interior box.  Monte Carlo draws fresh nodes at
 every step (Philox stream k-1) and sums them by _node_sum, as tangency_residual does.
 """
@@ -362,103 +355,6 @@ def _spline_taps(idx: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     return cols, w
 
 
-class _NodeTaps:
-    """The weighted spline taps of an axis factor: the taps at the nodes x + shift + scale z_k of
-    each point on coefficients padded by `pad` cells at each end, each times its node weight.
-
-    scale and shift are (n, 1) for rows keyed by point, the same on every line; (1, L) for rows
-    keyed by line, the same at every point of it, whose node indices are offsets from its first
-    point; or (n, L) for rows keyed by each point of each line.  A call computes the tap columns
-    and weights (_spline_taps) of a slice of the points, (points, 1 or L, K, order + 1), or of the
-    lines of a line-keyed table, (1, lines, K, order + 1); `block` such points or lines hold about
-    _BUILD_TAPS taps, a per-point table's counted across its L lines.
-    """
-
-    def __init__(self, x, scale, shift, nodes, weights, lo, dx, order, pad):
-        self.x, self.scale, self.shift, self.nodes, self.weights = x, scale, shift, nodes, weights
-        self.lo, self.dx, self.order, self.pad = lo, dx, order, pad
-        self.shape = scale.shape
-        keys = self.shape[1] if self.shape[0] > 1 else 1  # keys in one point or line of the slice
-        self.block = max(1, _BUILD_TAPS // (nodes.size * (order + 1) * keys))
-
-    def _indices(self, keys: slice, nodes: np.ndarray) -> np.ndarray:
-        at = (slice(None), keys) if self.shape[0] == 1 else (keys,)
-        idx = self.shift[at][..., None] + self.scale[at][..., None] * nodes  # node offsets from the point
-        if self.shape[0] > 1:
-            idx += self.x[keys, None, None]
-            idx -= self.lo
-        idx /= self.dx  # node indices on the line; a line-keyed table's offsets stand for its first point's
-        idx += self.pad
-        return idx
-
-    def __call__(self, keys: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
-        cols, w = _spline_taps(self._indices(keys, self.nodes), self.order)
-        w *= self.weights[..., None]
-        return cols, w
-
-    def span(self) -> tuple[int, int]:
-        """(first, width): the grid offsets first .. first + width - 1, from each point's own
-        coefficient, that the rows reach.  Nodes ascend and scale >= 0, so each key's node indices
-        ascend (rounding keeps their order) and the first and last tap columns of its outermost
-        nodes bound all its taps."""
-        ends = np.floor(self._indices(slice(None), self.nodes[[0, -1]])).astype(np.intp)
-        ends -= (np.arange(self.shape[0]) + self.pad)[:, None, None]
-        first = int(ends[..., 0].min()) - self.order // 2
-        return first, int(ends[..., 1].max()) + self.order - self.order // 2 - first + 1
-
-
-class _LineTaps:
-    """Axis factor as kernel rows of weighted spline taps over grid offsets.
-
-    Maps coefficients arranged (padded size, L), one grid line along the axis per column, to
-    node sums (size, L).  `taps` (_NodeTaps) gives the tap columns and weights of its rows: keyed
-    by point, the same on every line; keyed by line, the same at every point of it, holding the
-    taps of its first point; or keyed by each point of each line.  `lines` is L in every case.
-    Each row holds the K (order + 1) taps of its key, each times its node weight, so it sums to 1,
-    as a dense row over the grid offsets first .. first + width - 1 (span) from the point's own
-    coefficient: the table is (points, width, lines), with 1 for the points of rows keyed by line
-    and for the lines of rows keyed by point.
-
-    The table is filled a block of keys at a time: one bincount folds the block's taps by offset
-    into its rows, in the order the taps of one row come, so a row has the same bits whatever the
-    block.  Only the table and one block's taps (about _BUILD_TAPS of them) are held at once.  A
-    tap past the edge keeps its offset and reads the coefficient lines extended past the edge by
-    the edge coefficient.  The extension is a buffer kept with the factor, with its view of
-    sliding windows (a new view costs about 12 us a call), so a call is not reentrant.  Rows
-    keyed by point contract each point's window on all lines by np.matmul, whose bits do not
-    depend on the number of BLAS threads; the others contract each point's window on each line
-    with its row by np.einsum, which calls no BLAS, a line's row broadcast over its points
-    (np.einsum is 2.6 times slower than np.matmul on rows shared by 128 lines).
-    """
-
-    def __init__(self, taps: _NodeTaps, size: int, pad: int, lines: int, span: tuple[int, int]):
-        first, width = span
-        self.size, self.lines = size, taps.shape[1]
-        by_line = taps.shape[0] == 1
-        table = np.empty((taps.shape[0], width, self.lines))
-        for start in range(0, taps.shape[1 if by_line else 0], taps.block):
-            cols, w = taps(slice(start, start + taps.block))
-            keys = np.arange(cols.shape[0] * cols.shape[1]).reshape(cols.shape[:2])  # (points, lines)
-            # a point's own coefficient; a line's columns are those of its first point
-            own = pad if by_line else np.arange(start, start + len(keys))[:, None] + pad
-            # the tap of key r of the block at column c is entry (r, c - own - first) of its rows
-            cols += (keys * width - own - first)[..., None, None]
-            block = np.bincount(cols.ravel(), w.ravel(), minlength=keys.size * width)
-            at = np.s_[..., start : start + keys.shape[1]] if by_line else np.s_[start : start + len(keys)]
-            table[at] = block.reshape(keys.shape + (width,)).swapaxes(1, 2)
-        self.kernel = table.swapaxes(1, 2) if self.lines == 1 else table  # (size, 1, width) for matmul
-        self.index = np.arange(pad + first, pad + first + size + width - 1)  # clipped by np.take
-        self.extended = np.empty((size + width - 1, lines))
-        self.windows = np.lib.stride_tricks.sliding_window_view(self.extended, width, axis=0).swapaxes(1, 2)
-
-    def __call__(self, coeffs: np.ndarray) -> np.ndarray:
-        np.take(coeffs, self.index, axis=0, out=self.extended, mode="clip")
-        if self.lines > 1:
-            return np.einsum("jwr,jwr->jr", self.windows, self.kernel)
-        # (1 x width) @ (width x L) at each point
-        return np.matmul(self.kernel, self.windows).reshape(self.size, coeffs.shape[1])
-
-
 def _lines(a: np.ndarray, axis: int) -> np.ndarray:
     """a as a matrix with one column per grid line along `axis`: that axis swapped to the front,
     the others raveled.  Every step calls it once per axis, so it uses swapaxes: moveaxis spends
@@ -466,37 +362,134 @@ def _lines(a: np.ndarray, axis: int) -> np.ndarray:
     return a.swapaxes(0, axis).reshape(a.shape[axis], -1)
 
 
-def _axis_factor(x: np.ndarray, scale: np.ndarray, shift: np.ndarray, nodes: np.ndarray,
-                 weights: np.ndarray, lo: float, dx: float, order: int, pad: int) -> _LineTaps:
-    """Factor along the axis with coordinates x, for scale and shift given per line (_lines), on
-    coefficients padded by `pad` cells at each end: the spline taps at the nodes
-    x + shift + scale z_k, each times its node weight, as kernel rows (_LineTaps).
+class _AxisFactor:
+    """Factor `axis` of the Gauss-Hermite grid step, one fixed linear map on grid-shaped values:
+    extend the field by _PAD cells of boundary_value at each end of the axis (constant mode),
+    prefilter it along the axis, then apply kernel rows of the weighted spline taps at the nodes
+    x + shift + scale z_k of each point, for scale and shift given at every grid point.
 
-    Its rows follow scale and shift: keyed by point and shared by every line when they are the
-    same on each line, keyed by line and shared by its points when they are constant along each
-    line, and keyed by each point of each line otherwise.  They reach the W grid offsets between
-    the extremes of their first and last tap columns, taken from each point's own coefficient;
-    those come from the taps of the two outermost nodes alone (_NodeTaps.span), so a table of
-    keys W 8 bytes above _TAP_TABLE_BYTES is refused with TapTableError before any other tap is
-    computed.  The table is then filled a block of about _BUILD_TAPS taps at a time, so building
-    it holds the table and one block, not all the taps: those of converge_variable_g's step at
-    n = 64 take 3.4 MB, which glibc hands back to the OS when they are freed, so that each solve
-    would fault them in again (about 810 minor page faults).
+    Keys.  The rows follow scale and shift along the L lines of n points (_lines): keyed by point,
+    (n, 1), shared by every line when they are the same on each line (always in 1D, and on axis 1
+    when the coefficients depend on x_1 only); keyed by line, (1, L), shared by its points when
+    they are constant along each line (axes 2.. when the coefficients depend on x_1 only), a line's
+    row holding the taps of its first point as offsets from it; keyed by each point of each line,
+    (n, L), otherwise.  taps(keys) gives the tap columns and weights (_spline_taps) of a slice of
+    the points, (points, 1 or L, K, order + 1), or of the lines of a line-keyed table, (1, lines,
+    K, order + 1), each weight times its node weight, so that a row sums to 1.  The columns are
+    taken on the line itself in both boundary modes, so a constant-mode table equals the
+    clamp-mode table bit for bit and only the window start `index` moves by _PAD.
+
+    Span and budget.  A row is dense over the W grid offsets first .. first + W - 1 from its point's
+    own coefficient that its taps reach, about 2 s z_max / dx + order + 1.  Nodes ascend and
+    scale >= 0, so each key's node indices ascend (rounding keeps their order) and the first and
+    last tap columns of its two outermost nodes bound all its taps: the span comes from those alone,
+    and a table of keys W 8 bytes above _TAP_TABLE_BYTES is refused with TapTableError before any
+    other tap is computed.
+
+    Fill.  The table is filled a block of keys (points, or lines of a line-keyed table) at a time,
+    about _BUILD_TAPS taps a block, a per-point table's counted across its L lines: one bincount
+    folds the block's taps by offset into its rows, in the order the taps of one row come, so a row
+    has the same bits whatever the block.  A build holds the table and one block, not all the taps:
+    those of converge_variable_g's step at n = 64 take 3.4 MB, which glibc hands back to the OS when
+    they are freed, so that each solve would fault them in again (about 810 minor page faults).
+
+    Contraction.  A tap past the edge keeps its offset and reads the coefficient lines extended past
+    the edge by the edge coefficient: `extended`, a buffer of (n + W - 1) L * 8 bytes kept with the
+    factor, as is its view of sliding windows (a new view costs about 12 us a call) and, in constant
+    mode, the padded field it is prefiltered in; so a call is not reentrant.  Rows keyed by point
+    contract each point's window on all lines by np.matmul, whose bits do not depend on the number
+    of BLAS threads; the others contract each point's window on each line with its row by
+    np.einsum, which calls no BLAS, a line's row broadcast over its points (np.einsum is 2.6 times
+    slower than np.matmul on rows shared by 128 lines).
     """
-    lines = scale.shape[1]
-    if np.all(scale == scale[:, :1]) and np.all(shift == shift[:, :1]):
-        scale, shift = scale[:, :1], shift[:, :1]
-    elif np.all(scale == scale[:1]) and np.all(shift == shift[:1]):
-        scale, shift = scale[:1], shift[:1]  # one value per line
-    taps = _NodeTaps(x, scale, shift, nodes, weights, lo, dx, order, pad)
-    first, width = taps.span()
-    if (table := scale.size * width * 8) > _TAP_TABLE_BYTES:
-        raise TapTableError(
-            f"kernel rows along one axis would take {table} bytes, more than the budget of "
-            f"{_TAP_TABLE_BYTES}; use fewer points, more steps, or coefficients constant along or "
-            "across the axis"
-        )
-    return _LineTaps(taps, x.size, pad, lines, (first, width))
+
+    def __init__(self, grid: GridField, axis: int, scale: np.ndarray, shift: np.ndarray,
+                 nodes: np.ndarray, weights: np.ndarray, order: int):
+        self.axis, self.order, self.shape = axis, order, grid.values.shape
+        self.x, self.lo, self.dx = grid.axes[axis], grid.bounds[axis][0], grid.spacings[axis]
+        self.nodes, self.weights = nodes, weights
+        self.pad = _PAD if grid.boundary_mode == "constant" else 0
+        self.boundary_value = grid.boundary_value
+        scale, shift = _lines(scale, axis), _lines(shift, axis)
+        self.size, self.lines = scale.shape
+        # copies, so that a shared table keeps no per-point array alive
+        if np.all(scale == scale[:, :1]) and np.all(shift == shift[:, :1]):
+            scale, shift = scale[:, :1].copy(), shift[:, :1].copy()
+        elif np.all(scale == scale[:1]) and np.all(shift == shift[:1]):
+            scale, shift = scale[:1].copy(), shift[:1].copy()  # one value per line
+        self.scale, self.shift, self.keys = scale, shift, scale.shape
+        self.first, self.width = self._span()
+        if (table := scale.size * self.width * 8) > _TAP_TABLE_BYTES:
+            raise TapTableError(
+                f"kernel rows along one axis would take {table} bytes, more than the budget of "
+                f"{_TAP_TABLE_BYTES}; use fewer points, more steps, or coefficients constant along or "
+                "across the axis"
+            )
+        self.kernel = self._fill()
+        self.index = self.pad + self.first + np.arange(self.size + self.width - 1)  # clipped by np.take
+        self.extended = np.empty((self.size + self.width - 1, self.lines))
+        self.windows = np.lib.stride_tricks.sliding_window_view(self.extended, self.width, axis=0).swapaxes(1, 2)
+        # constant mode: the field extended by _PAD cells along the axis, prefiltered in place
+        padded = tuple(n + 2 * self.pad * (j == axis) for j, n in enumerate(self.shape))
+        self.padded = np.empty(padded) if self.pad else None
+
+    def _indices(self, keys: slice, nodes: np.ndarray) -> np.ndarray:
+        at = (slice(None), keys) if self.keys[0] == 1 else (keys,)
+        idx = self.shift[at][..., None] + self.scale[at][..., None] * nodes  # node offsets from the point
+        if self.keys[0] > 1:
+            idx += self.x[keys, None, None]
+            idx -= self.lo
+        idx /= self.dx  # node indices on the line; a line-keyed table's offsets stand for its first point's
+        return idx
+
+    def taps(self, keys: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """Tap columns on the line and tap weights times node weights of a slice of the keys."""
+        cols, w = _spline_taps(self._indices(keys, self.nodes), self.order)
+        w *= self.weights[..., None]
+        return cols, w
+
+    def _span(self) -> tuple[int, int]:
+        ends = np.floor(self._indices(slice(None), self.nodes[[0, -1]])).astype(np.intp)
+        ends -= np.arange(self.keys[0])[:, None, None]
+        first = int(ends[..., 0].min()) - self.order // 2
+        return first, int(ends[..., 1].max()) + self.order - self.order // 2 - first + 1
+
+    def _fill(self) -> np.ndarray:
+        by_line = self.keys[0] == 1
+        per_key = self.keys[1] if self.keys[0] > 1 else 1  # keys in one point or line of a block
+        block = max(1, _BUILD_TAPS // (self.nodes.size * (self.order + 1) * per_key))
+        table = np.empty((self.keys[0], self.width, self.keys[1]))
+        for start in range(0, self.keys[1 if by_line else 0], block):
+            cols, w = self.taps(slice(start, start + block))
+            keys = np.arange(cols.shape[0] * cols.shape[1]).reshape(cols.shape[:2])  # (points, lines)
+            own = 0 if by_line else np.arange(start, start + len(keys))[:, None]  # a point's own coefficient
+            # the tap of key r of the block at column c is entry (r, c - own - first) of its rows
+            cols += (keys * self.width - own - self.first)[..., None, None]
+            rows = np.bincount(cols.ravel(), w.ravel(), minlength=keys.size * self.width)
+            at = np.s_[..., start : start + keys.shape[1]] if by_line else np.s_[start : start + len(keys)]
+            table[at] = rows.reshape(keys.shape + (self.width,)).swapaxes(1, 2)
+        return table.swapaxes(1, 2) if self.keys[1] == 1 else table  # (size, 1, width) for matmul
+
+    def rows(self, coeffs: np.ndarray) -> np.ndarray:
+        """The rows applied to coefficients arranged (padded size, L), one grid line per column."""
+        np.take(coeffs, self.index, axis=0, out=self.extended, mode="clip")
+        if self.keys[1] > 1:
+            return np.einsum("jwr,jwr->jr", self.windows, self.kernel)
+        # (1 x width) @ (width x L) at each point
+        return np.matmul(self.kernel, self.windows).reshape(self.size, self.lines)
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        """The factor on grid-shaped values."""
+        output = np.float64
+        if self.pad:
+            # the in-place prefilter overwrites the slabs too, so every call sets them again
+            output, ext = self.padded, self.padded.swapaxes(0, self.axis)
+            ext[: self.pad] = self.boundary_value
+            ext[-self.pad :] = self.boundary_value
+            ext[self.pad : -self.pad] = values.swapaxes(0, self.axis)
+            values = output
+        values = _prefilter(values, self.axis, self.order, output)
+        return self.rows(_lines(values, self.axis)).reshape(self.shape).swapaxes(0, self.axis)
 
 
 class _Step:
@@ -508,35 +501,25 @@ class _Step:
     Monte Carlo draws a fresh node set from Philox stream `stream` at every call, then
     prefilters the field and interpolates it at the nodes (_node_sum).
 
-    Gauss-Hermite node sums are fixed, one linear factor per axis.  A is diagonal, so the
-    step moves points one axis at a time: factor i is the spline prefilter along axis i and
-    the spline taps at the nodes x + tau q_i B_i(x) e_i + sqrt(2 tau g(x) q_i) z_k e_i of the
-    1D rule gaussian_nodes gives for q_i, each weighted by its node weight.  Nodes of weight
-    below _NODE_WEIGHT_FLOOR = 2^-60 are left out: none for K <= 24, and for K = 32 the 4
+    Gauss-Hermite node sums are fixed, one linear factor per axis (_AxisFactor).  A is
+    diagonal, so the step moves points one axis at a time: factor i is the spline prefilter
+    along axis i and the spline taps at the nodes x + tau q_i B_i(x) e_i + sqrt(2 tau g(x) q_i) z_k e_i
+    of the 1D rule gaussian_nodes gives for q_i, each weighted by its node weight.  Nodes of
+    weight below _NODE_WEIGHT_FLOOR = 2^-60 are left out: none for K <= 24, and for K = 32 the 4
     outermost, 1.04e-18 of the weight, which widened every row from +-8.2 to +-10.1
     standard deviations.  A spline is bounded by its largest coefficient, at most
     3 ||u||_inf for cubic (the prefilter's inverse has sup-norm 3) and ||u||_inf for linear,
     with u the factor's input (boundary_value included in constant mode), so leaving them
     out moves a factor's output by at most 3.2e-18 ||u||_inf at K = 32.
 
-    The factor's rows, each the K (order + 1) weighted taps of one point, are keyed by what
-    the scale s and shift tau q_i B_i along axis i alone vary with (_axis_factor):
-      (a) the same on every line along axis i (always in 1D, and on axis 1 when the
-          coefficients depend on x_1 only): n rows keyed by point for lines of n points,
-          applied to every line;
-      (b) constant along each line and different between lines (axes 2.. when the
-          coefficients depend on x_1 only): one row keyed by line, applied at every point of it;
-      (c) otherwise: one row keyed by each point of each line.
-    All are kernel rows, dense over the W grid offsets they reach, read from the lines extended
-    by an edge buffer of (n + W - 1) L * 8 bytes for L lines.  In 1D this agrees with
-    _node_sum's per-node summation up to rounding (2e-15 on fields of size 1).  In d >= 2 the factors' product is the tensor step, up to rounding, when g
+    In 1D this agrees with _node_sum's per-node summation up to rounding (2e-15 on fields of
+    size 1).  In d >= 2 the factors' product is the tensor step, up to rounding, when g
     depends on x_1 only and B_j on x_1 .. x_j only, so that no factor's weights change along
     the axes filtered after it; otherwise it is their Lie product, O(tau^2) per step from it
     and still first order (Chernoff 1968).  Every read past the edge takes the edge
     coefficient.  Node and tap weights each sum to 1, so every factor maps a constant to
     itself; with boundary_mode "constant", factor i therefore extends its input by _PAD cells
-    of boundary_value along axis i at each end, as _FieldEvaluator extends the field, in a
-    buffer per axis built with the step and prefiltered in place.
+    of boundary_value along axis i at each end, as _FieldEvaluator extends the field.
     """
 
     def __init__(self, op: OperatorL, tau: float, grid: GridField, quad: QuadratureSpec, interpolation: str):
@@ -560,42 +543,20 @@ class _Step:
             self.centres, self.scale = pts + shift, scale
             return
 
-        self.pad = _PAD if grid.boundary_mode == "constant" else 0
-        self.boundary_value = grid.boundary_value
-        # constant mode: per axis, the field extended by _PAD cells along it, prefiltered in place
-        self.padded = [
-            np.empty(tuple(n + 2 * self.pad * (j == i) for j, n in enumerate(self.shape)))
-            for i in range(len(self.shape) if self.pad else 0)
-        ]
         scale = scale.reshape(self.shape)
         self.factors = []
-        for i, ((lo, _), dx, x) in enumerate(zip(grid.bounds, grid.spacings, grid.axes)):
+        for i in range(grid.dim):
             zc, weights = gaussian_nodes(quad, op.q[i : i + 1])  # the same weights on every axis
             kept = weights >= _NODE_WEIGHT_FLOOR
-            zc, weights = zc[kept], weights[kept]
-            shift_i = _lines(shift[:, i].reshape(self.shape), i)
-            factor = _axis_factor(x, _lines(scale, i), shift_i, zc[:, 0], weights, lo, dx, self.order, self.pad)
-            self.factors.append(factor)
-
-    def _factor(self, i: int, values: np.ndarray) -> np.ndarray:
-        """Axis-i factor: extend along axis i (constant mode), prefilter along it, take the taps."""
-        output = np.float64
-        if self.pad:
-            # the in-place prefilter overwrites the slabs too, so every call sets them again
-            output, ext = self.padded[i], self.padded[i].swapaxes(0, i)
-            ext[: self.pad] = self.boundary_value
-            ext[-self.pad :] = self.boundary_value
-            ext[self.pad : -self.pad] = values.swapaxes(0, i)
-            values = output
-        values = _prefilter(values, i, self.order, output)
-        return self.factors[i](_lines(values, i)).reshape(self.shape).swapaxes(0, i)
+            shift_i = shift[:, i].reshape(self.shape)
+            self.factors.append(_AxisFactor(grid, i, scale, shift_i, zc[kept, 0], weights[kept], self.order))
 
     def apply(self, values: np.ndarray, stream: tuple) -> np.ndarray:
         """The step's values on the grid for field values `values`, not checked for finiteness:
         chernoff_solve iterates this and checks each step's values with its sup norm."""
         if self.gauss_hermite:
-            for i in range(len(self.shape)):
-                values = self._factor(i, values)
+            for factor in self.factors:
+                values = factor(values)
         else:
             evaluator = _FieldEvaluator(dataclasses.replace(self.grid, values=values), self.interpolation)
             values = _node_sum(evaluator, self.centres, self.scale, *gaussian_nodes(self.quad, self.q, stream))

@@ -302,34 +302,10 @@ def test_compiled_step_matches_per_node_reference(dim, nodes, interpolation, mod
     assert np.max(np.abs(out - ref)) <= 1e-13
 
 
-def line_taps_built(op, tau, u, quad, interpolation):
-    """The arguments of every _LineTaps table the step builds, its taps as the tap columns and
-    weights of all its keys at once."""
-    calls = []
-    line_taps = engine._LineTaps
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(engine, "_LineTaps", lambda taps, *args: calls.append((*taps(), *args)) or line_taps(taps, *args))
-        engine._Step(op, tau, u, quad, interpolation)
-    return calls
-
-
-class TapArrays:
-    """_LineTaps' taps given as the tap columns and weights of every key, all in one block:
-    (n, 1, ...) keyed by point, (1, L, ...) by line, (n, L, ...) per point."""
-
-    def __init__(self, cols, w):
-        self.cols, self.w, self.shape = cols, w, cols.shape[:2]
-        self.block = max(self.shape)
-
-    def __call__(self, keys=slice(None)):
-        at = (slice(None), keys) if self.shape[0] == 1 else (keys,)
-        return self.cols[at].copy(), self.w[at].copy()  # the table folds them in place
-
-
-def reach(cols, pad):
+def reach(cols):
     """(first, width): the grid offsets, from each point's own coefficient, that the tap columns
     cols reach, taken over every tap; a line-keyed table's columns are those of its first point."""
-    offsets = cols - (np.arange(cols.shape[0]) + pad)[:, None, None, None]
+    offsets = cols - np.arange(cols.shape[0])[:, None, None, None]
     first = int(offsets.min())
     return first, int(offsets.max()) - first + 1
 
@@ -367,22 +343,24 @@ def test_kernel_rows_match_csr_taps(dim, drift, points, tau, past, interpolation
     quad = QuadratureSpec(backend="gauss_hermite", nodes_per_dim=32)
     u = rough_field(dim, points, 3.0, boundary_mode=mode, boundary_value=0.75)
     op = x1_drift_op(dim) if drift == "x1" else variable_op(dim, drift)
-    calls = line_taps_built(op, tau, u, quad, interpolation)
+    factors = engine._Step(op, tau, u, quad, interpolation).factors
     n = u.points_per_axis
     later = (n, n) if drift is True else (1, n ** (dim - 1))  # per point, or keyed by line
-    assert [args[0].shape[:2] for args in calls] == [(n, 1)] + [later] * (dim - 1)
+    assert [factor.keys for factor in factors] == [(n, 1)] + [later] * (dim - 1)
     rng = np.random.default_rng(dim)
-    for table, (cols, w, size, pad, lines, span) in enumerate(calls):
-        assert span == reach(cols, pad)
-        points = cols + np.arange(size + 1 - cols.shape[0])[:, None, None, None]  # every point's taps
-        kernel = engine._LineTaps(TapArrays(cols, w), size, pad, lines, span)
+    for table, factor in enumerate(factors):
+        cols, w = factor.taps()
+        size, pad, lines = factor.size, factor.pad, factor.lines
+        assert (factor.first, factor.width) == reach(cols)
+        # every point's taps, as columns of the padded line
+        points = cols + pad + np.arange(size + 1 - cols.shape[0])[:, None, None, None]
         csr = csr_taps(points, w, size, pad, lines)
         assert points[0].min() < pad - 3 and points[-1].max() > size + pad + 2
         if table < past:
             assert points[0].min() < 0 and points[-1].max() > size + 2 * pad - 1
         for _ in range(2):  # the extension buffer is rewritten by every call
             coeffs = rng.standard_normal((size + 2 * pad, lines))
-            assert np.max(np.abs(kernel(coeffs) - csr(coeffs))) <= 1e-15 * np.max(np.abs(coeffs))
+            assert np.max(np.abs(factor.rows(coeffs) - csr(coeffs))) <= 1e-15 * np.max(np.abs(coeffs))
 
 
 @pytest.mark.parametrize(("dim", "points", "tau"), [(1, 400, 0.01), (2, 24, 0.4), (3, 10, 0.4)], ids=["1d", "2d", "3d"])
@@ -407,6 +385,29 @@ def test_kernel_rows_do_not_depend_on_the_build_block(monkeypatch, dim, points, 
     for taps in (1, 1 << 40):
         monkeypatch.setattr(engine, "_BUILD_TAPS", taps)
         assert kernels() == default
+
+
+@pytest.mark.parametrize(("dim", "points"), [(1, 200), (2, 24), (3, 10)], ids=["1d", "2d", "3d"])
+@pytest.mark.parametrize("interpolation", ["cubic", "linear"])
+@pytest.mark.parametrize("nodes", [8, 32])
+def test_kernel_rows_do_not_depend_on_the_boundary_mode(dim, points, interpolation, nodes):
+    # tap columns are taken on the field's own line in both modes and only the window start adds
+    # _PAD, so a constant-mode table is the clamp-mode table bit for bit, its window moved by _PAD
+    # cells. Axis 1 is keyed by point; axes 2.. are keyed by line with x1_drift_op and by each point
+    # of each line with variable_op's drift
+    quad = QuadratureSpec(backend="gauss_hermite", nodes_per_dim=nodes)
+    keyings = set()
+    for op in (x1_drift_op(dim), variable_op(dim, drift=True)):
+        clamp, constant = (
+            engine._Step(op, 0.4, rough_field(dim, points, 3.0, boundary_mode=mode, boundary_value=0.75),
+                         quad, interpolation).factors
+            for mode in ("clamp", "constant")
+        )
+        for a, b in zip(clamp, constant, strict=True):
+            keyings.add("point" if a.kernel.shape[1] == 1 else "line" if a.kernel.shape[0] == 1 else "each")
+            assert b.kernel.shape == a.kernel.shape and b.kernel.tobytes() == a.kernel.tobytes()
+            assert np.array_equal(b.index, a.index + engine._PAD)
+    assert len(keyings) == (1, 3, 3)[dim - 1]
 
 
 def test_building_kernel_rows_holds_the_table_and_one_block():
@@ -487,7 +488,7 @@ def test_per_line_stencils_fold_the_drift_weight(dim, points, tau, interpolation
     quad = QuadratureSpec(backend="gauss_hermite", nodes_per_dim=8)
     u = rough_field(dim, points, 3.0, boundary_mode=mode, boundary_value=0.75)
     step = engine._Step(op, tau, u, quad, interpolation)
-    assert all(isinstance(factor, engine._LineTaps) and factor.kernel.shape[0] == 1 for factor in step.factors[1:])
+    assert all(isinstance(factor, engine._AxisFactor) and factor.kernel.shape[0] == 1 for factor in step.factors[1:])
     if points == 96:
         assert all(factor.index[0] < 0 for factor in step.factors[1:])
     at = np.ones(u.values.shape, dtype=bool)
@@ -502,8 +503,9 @@ def test_building_a_constant_mode_step_applies_no_factor(monkeypatch):
     # every factor maps boundary_value to itself, so its padding cells are boundary_value and
     # no factor has to be run over a constant field when the step is built
     calls = []
-    factor = engine._Step._factor
-    monkeypatch.setattr(engine._Step, "_factor", lambda self, i, values: calls.append(i) or factor(self, i, values))
+    factor = engine._AxisFactor.__call__
+    monkeypatch.setattr(engine._AxisFactor, "__call__",
+                        lambda self, values: calls.append(self.axis) or factor(self, values))
     quad = QuadratureSpec(backend="gauss_hermite", nodes_per_dim=4)
     u = rough_field(3, 10, 3.0, boundary_mode="constant", boundary_value=0.75)
     step = engine._Step(variable_op(3, drift=True), 0.3, u, quad, "cubic")
@@ -740,7 +742,7 @@ def test_a_non_finite_step_value_raises_at_that_step(monkeypatch, dim, bad):
 def test_bad_checkpoint_raises_before_any_factor_is_built(monkeypatch):
     # a tap table can take up to _TAP_TABLE_BYTES, so the checkpoints are checked first
     built = []
-    monkeypatch.setattr(engine, "_axis_factor", lambda *args: built.append(args))
+    monkeypatch.setattr(engine, "_AxisFactor", lambda *args: built.append(args))
     quad = QuadratureSpec(backend="gauss_hermite", nodes_per_dim=8)
     plan = ChernoffPlan(t_final=0.3, steps=6, quad=quad, op=variable_op(2, drift=True))
     u0 = rough_field(2, 32, 9.0)
@@ -753,7 +755,7 @@ def test_bad_checkpoint_raises_before_any_factor_is_built(monkeypatch):
 def test_empty_interior_raises_before_any_factor_is_built(monkeypatch):
     # a tap table can take up to _TAP_TABLE_BYTES, so the interior is checked first
     built = []
-    monkeypatch.setattr(engine, "_axis_factor", lambda *args: built.append(args))
+    monkeypatch.setattr(engine, "_AxisFactor", lambda *args: built.append(args))
     op = const_op(g=1.0, c=0.0, q=(0.5,), contractive=True)
     u0 = GridField.from_function([(-3.0, 3.0)], 2, lambda x: np.cos(x[:, 0]))
     with pytest.raises(TruncationError, match="no grid point"):
