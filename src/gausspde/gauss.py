@@ -20,11 +20,12 @@ E_{N(0,v)} f ~= sum_k (w_k/sqrt(pi)) f(sqrt(2 v) x_k)) for dimension <= 4,
 and Monte Carlo driven by a counter-based Philox generator keyed by rng_seed.
 gaussian_nodes builds the node set of N(0, diag v) for either backend; integrate
 and the grid step in engine take their nodes from it, while mc_estimates makes
-one pass over one shared stream of standard normals from Philox directly.
+one pass over one shared stream of standard normals from Philox directly, in
+memory O((_SEGMENT + _BLOCK) width) whatever the number of samples or cases.
 
 Evaluators are vectorized: an integrand receives an (m, n) array of points
 and must return an (m,) array of values.  A row's value must depend on that row
-only: Monte Carlo points arrive in blocks of at most _BLOCK rows, so one
+only: Monte Carlo points arrive in blocks of at most _BLOCK normals, so one
 estimate may take several calls, and mc_estimates serves all of its cases from
 one pass over one shared stream.  Those blocks are (m, n) views with contiguous
 columns, not C order: elementwise integrands give the same bits on any layout,
@@ -65,12 +66,12 @@ GH_MAX_DIM = 4
 
 Evaluator = Callable[[np.ndarray], np.ndarray]
 
-# standard normals drawn, and Monte Carlo rows scaled, shifted and evaluated, at once: bounds
-# the stream chunk and the point buffer of an mc_estimates call
+# standard normals of Monte Carlo rows scaled, shifted and evaluated at once: bounds the point
+# buffer of an mc_estimates call and each call of its integrands
 _BLOCK = 1 << 16
-# values per case whose moments mc_estimates takes at once (1 MiB) and merges into the case's
-# running moments; fixed, so that a case's estimate depends neither on _BLOCK nor on the other
-# cases of its call
+# values of one case whose moments mc_estimates takes at once (1 MiB) and merges into the
+# case's running moments, and rows of the widest case per round of the stream; fixed, so that
+# a case's estimate depends neither on _BLOCK nor on the other cases of its call
 _SEGMENT = 1 << 17
 
 
@@ -285,65 +286,24 @@ def _evaluate(f: Evaluator, pts: np.ndarray) -> np.ndarray:
     return vals
 
 
-class _Moments:
-    """Count, mean and centred sum of squares of one case's values, fed in any pieces.
-
-    Values collect in a buffer of _SEGMENT; each full or final segment's mean and sum of squares
-    are taken in place with the numpy operations of vals.mean() and vals.std(), then merged into
-    the running ones by the pairwise update of Chan, Golub and LeVeque (1979).  The first
-    segment sets them directly, so up to _SEGMENT values the moments are numpy's own."""
-
-    def __init__(self, size: int):
-        self.segment = np.empty(size)
-        self.filled = 0
-        self.count, self.mean, self.m2 = 0, 0.0, 0.0
-
-    def add(self, vals: np.ndarray):
-        lo = 0
-        while lo < vals.size:
-            m = min(vals.size - lo, self.segment.size - self.filled)
-            self.segment[self.filled : self.filled + m] = vals[lo : lo + m]
-            self.filled += m
-            lo += m
-            if self.filled == self.segment.size:
-                self._merge()
-
-    def _merge(self):
-        seg, m = self.segment[: self.filled], self.filled
-        mean = float(seg.mean())
-        np.subtract(seg, mean, out=seg)
-        np.square(seg, out=seg)
-        m2 = float(seg.sum())
-        if self.count:
-            total = self.count + m
-            delta = mean - self.mean
-            self.mean += delta * (m / total)
-            self.m2 += m2 + delta * delta * (self.count * m / total)
-            self.count = total
-        else:
-            self.count, self.mean, self.m2 = m, mean, m2
-        self.filled = 0
-
-    def estimate(self) -> tuple[float, float]:
-        """Mean and standard error sqrt(var(ddof=1) / count); inf for a single value."""
-        if self.filled:
-            self._merge()
-        n = self.count
-        return self.mean, (math.sqrt(self.m2 / (n - 1)) / math.sqrt(n) if n > 1 else math.inf)
-
-
 def mc_estimates(cases, quad: QuadratureSpec) -> list[tuple[float, float]]:
     """Monte Carlo mean and standard error of E[f] for each (f, GaussianSpec) pair in cases.
 
     One pass over stream () of rng_seed serves every case: quad.samples rows of standard normals
-    as wide as the widest spec, drawn in chunks of at most _BLOCK normals, which equal one large
-    draw.  A case of dimension d reads row r from normals [r d, (r + 1) d) of the stream, exactly
-    the normals a fresh (samples, d) draw from it gives; the at most width - 1 trailing normals
-    of a chunk that start an unfinished row are carried into the next.  Each case scales and
-    shifts its new rows one column at a time into one reused (width, _BLOCK) buffer, whose
-    transpose the integrand receives, and feeds the values to its own _Moments: segments of
-    _SEGMENT values, each merged into running moments.  Memory is O(_BLOCK width + cases
-    _SEGMENT), whatever quad.samples is.  Consequently, for row-local integrands:
+    as wide as the widest spec, drawn in rounds of seg width normals, seg = min(samples,
+    _SEGMENT), which equal one large draw.  A case of dimension d reads row r from normals
+    [r d, (r + 1) d) of the stream, exactly the normals a fresh (samples, d) draw from it gives.
+    After each round, every case takes each of its segments of seg rows (the last one partial)
+    that the normals drawn so far cover: it scales and shifts the segment's rows a block of at
+    most _BLOCK normals at a time, one column at a time, into one reused (width, _BLOCK) buffer,
+    whose transpose the integrand receives, and writes the values into one buffer of seg values
+    shared by all cases.  The segment's mean and centred sum of squares are taken in place with
+    the numpy operations of vals.mean() and vals.std(), then merged into the case's running ones
+    by the pairwise update of Chan, Golub and LeVeque (1979); the first segment sets them
+    directly.  The window keeps the stream from the first normal an unfinished case still needs,
+    at most seg (width - 1) of them carried into the next round, so memory is
+    O((_SEGMENT + _BLOCK) width), whatever quad.samples or the number of cases is.
+    Consequently, for row-local integrands:
       - up to _SEGMENT samples, mean and standard error are bit-identical to numpy's vals.mean()
         and vals.std(ddof=1) / sqrt(samples) over all values at once;
       - they never depend on _BLOCK or on which other cases share the call;
@@ -354,35 +314,51 @@ def mc_estimates(cases, quad: QuadratureSpec) -> list[tuple[float, float]]:
     if not cases:
         return []
     n = quad.samples
+    seg = min(n, _SEGMENT)
     width = max(spec.dim for _, spec in cases)
     total = n * width
     stream = philox_generator(quad.rng_seed)
-    z = np.empty(width - 1 + min(total, _BLOCK))  # normals [start, end) of the stream
-    buf = np.empty((width, min(n, _BLOCK)))
+    z = np.empty(min(total, seg * (2 * width - 1)))  # normals [start, end) of the stream
+    buf = np.empty((width, min(seg, _BLOCK)))
+    vals = np.empty(seg)
     sds = [np.sqrt(spec.variances) for _, spec in cases]
-    moments = [_Moments(min(n, _SEGMENT)) for _ in cases]
-    done = [0] * len(cases)  # rows each case has evaluated
+    done = [0] * len(cases)  # rows whose moments each case has merged
+    means, m2s = [0.0] * len(cases), [0.0] * len(cases)
     start = end = 0
     while end < total:
-        keep = min(width - 1, end - start)  # every unfinished row starts in the last width - 1
-        z[:keep] = z[end - start - keep : end - start]
-        start = end - keep
-        c = min(_BLOCK, total - end)
-        z[keep : keep + c] = stream.standard_normal(c)
+        c = min(seg * width, total - end)
+        z[end - start : end - start + c] = stream.standard_normal(c)
         end += c
         for k, (f, spec) in enumerate(cases):
-            d = spec.dim
-            lo, hi = done[k], min(n, end // d)
-            if hi == lo:
-                continue
-            m = hi - lo
-            pts = z[lo * d - start : hi * d - start].reshape(m, d)
-            for j in range(d):
-                np.multiply(pts[:, j], sds[k][j], out=buf[j, :m])
-                buf[j, :m] += spec.mean[j]
-            moments[k].add(_evaluate(f, buf[:d, :m].T))
-            done[k] = hi
-    return [acc.estimate() for acc in moments]
+            d, lo = spec.dim, done[k]
+            rows = max(1, _BLOCK // d)
+            while lo < n and min(n, lo + seg) * d <= end:
+                hi = min(n, lo + seg)
+                for a in range(lo, hi, rows):
+                    b = min(hi, a + rows)
+                    pts = z[a * d - start : b * d - start].reshape(b - a, d)
+                    for j in range(d):
+                        np.multiply(pts[:, j], sds[k][j], out=buf[j, : b - a])
+                        buf[j, : b - a] += spec.mean[j]
+                    vals[a - lo : b - lo] = _evaluate(f, buf[:d, : b - a].T)
+                m = hi - lo
+                v = vals[:m]
+                mean = float(v.mean())
+                np.subtract(v, mean, out=v)
+                np.square(v, out=v)
+                m2 = float(v.sum())
+                if lo:
+                    delta = mean - means[k]
+                    means[k] += delta * (m / hi)
+                    m2s[k] += m2 + delta * delta * (lo * m / hi)
+                else:
+                    means[k], m2s[k] = mean, m2
+                lo = done[k] = hi
+        keep = min((r * spec.dim for r, (_, spec) in zip(done, cases) if r < n), default=end)
+        z[: end - keep] = z[keep - start : end - start]
+        start = keep
+    # standard error sqrt(var(ddof=1) / samples); inf for a single sample
+    return [(mean, math.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else math.inf) for mean, m2 in zip(means, m2s)]
 
 
 def mc_estimate(f: Evaluator, spec: GaussianSpec, quad: QuadratureSpec) -> tuple[float, float]:

@@ -417,6 +417,31 @@ def _full_sample_moments(cases, quad_mc):
     return out
 
 
+def _segment_merged_moments(cases, quad_mc, segment):
+    """The documented estimate from a fresh (samples, d) draw per case: numpy's mean and centred
+    sum of squares of each segment of `segment` values, merged in order by
+    mean += delta (n_b / n), m2 += m2_b + delta**2 (n_a n_b / n)."""
+    out = []
+    n = quad_mc.samples
+    for f, spec in cases:
+        z = philox_generator(quad_mc.rng_seed).standard_normal((n, spec.dim))
+        vals = f(z * np.sqrt(spec.variances) + spec.mean)
+        mean = m2 = 0.0
+        for lo in range(0, n, segment):
+            seg = vals[lo : lo + segment]
+            seg_mean = float(seg.mean())
+            seg_m2 = float(((seg - seg_mean) ** 2).sum())
+            m, hi = seg.size, lo + seg.size
+            if lo:
+                delta = seg_mean - mean
+                mean += delta * (m / hi)
+                m2 += seg_m2 + delta * delta * (lo * m / hi)
+            else:
+                mean, m2 = seg_mean, seg_m2
+        out.append((mean, math.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else math.inf))
+    return out
+
+
 def _assert_close_to(estimates, reference):
     for (mean, se), (ref_mean, ref_se) in zip(estimates, reference, strict=True):
         assert abs(mean - ref_mean) <= 1e-13 * abs(ref_mean)
@@ -425,12 +450,14 @@ def _assert_close_to(estimates, reference):
 
 @pytest.mark.parametrize("segment", [7, 1024])
 def test_mc_estimates_merge_segments(monkeypatch, segment):
-    # many segments, the last one partial: the merged moments stay within 1e-13 of numpy's
-    # full-sample ones, and are exact functions of the case alone, whatever the blocking
+    # many segments, the last one partial: the merged moments are exactly the documented
+    # segment-by-segment merge of a fresh draw, stay within 1e-13 of numpy's full-sample ones,
+    # and are exact functions of the case alone, whatever the blocking
     monkeypatch.setattr(gauss, "_SEGMENT", segment)
     quad_mc = QuadratureSpec(backend="monte_carlo", samples=70_001, rng_seed=20260814)
     cases = _row_local_cases()
     reference = mc_estimates(cases, quad_mc)
+    assert reference == _segment_merged_moments(cases, quad_mc, segment)
     _assert_close_to(reference, _full_sample_moments(cases, quad_mc))
     assert [mc_estimates([case], quad_mc)[0] for case in cases] == reference
     for block in (1, 7):
@@ -445,12 +472,12 @@ def test_mc_estimates_span_several_default_segments():
 
 
 def test_mc_estimates_draw_the_stream_in_chunks(monkeypatch):
-    # chunks of at most _BLOCK normals cover the draw once; rows that straddle two chunks (a
-    # width of 3 does not divide 7) read the normals carried over from the earlier one
+    # rounds of one segment of the widest case, seg * width = 3072 normals, cover the draw once;
+    # the dim-2 case's second segment, normals [2048, 4096), straddles the first two rounds and
+    # reads the normals carried over from the first
     monkeypatch.setattr(gauss, "_SEGMENT", 1024)
     quad_mc = QuadratureSpec(backend="monte_carlo", samples=5000, rng_seed=3)
     cases = _row_local_cases()
-    reference = mc_estimates(cases, quad_mc)
     drawn = []
 
     class Counting:
@@ -462,14 +489,13 @@ def test_mc_estimates_draw_the_stream_in_chunks(monkeypatch):
             return self._gen.standard_normal(size)
 
     monkeypatch.setattr(gauss, "philox_generator", lambda *a, **k: Counting(philox_generator(*a, **k)))
-    monkeypatch.setattr(gauss, "_BLOCK", 7)
-    assert mc_estimates(cases, quad_mc) == reference
-    assert max(drawn) <= 7
-    assert sum(drawn) == 5000 * 3
+    assert mc_estimates(cases, quad_mc) == _segment_merged_moments(cases, quad_mc, 1024)
+    assert drawn == [3072] * 4 + [5000 * 3 - 4 * 3072]
 
 
 def test_mc_estimates_memory_does_not_grow_with_samples():
-    # the battery's nine cases: segments, chunk and point buffer, none of them a whole draw
+    # the battery's nine cases: the round window, point buffer and value buffer, none of them a
+    # whole draw
     cases = [(f, spec) for f, spec, _ in _identity_cases()]
     peaks = []
     for samples in (1_000_000, 2_000_000):
@@ -482,3 +508,16 @@ def test_mc_estimates_memory_does_not_grow_with_samples():
             tracemalloc.stop()
     assert peaks[0] < 16e6
     assert abs(peaks[1] - peaks[0]) < 1e6
+
+
+def test_mc_estimates_memory_does_not_grow_with_cases():
+    # forty one-axis cases share one buffer of segment values; none keeps a segment of its own
+    cases = [(lambda y, a=a: np.cos(a * y[:, 0]), centered([1.0])) for a in range(40)]
+    quad_mc = QuadratureSpec(backend="monte_carlo", samples=1_000_000, rng_seed=1)
+    tracemalloc.start()
+    try:
+        mc_estimates(cases, quad_mc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
