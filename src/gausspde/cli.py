@@ -19,8 +19,9 @@ converge rows carry wall-clock timings and are identical except for the
 runtime_ms column.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 runtime/engine error.  --threads is accepted for compatibility; execution
-is vectorized and single-process.  A --threads below 1 is a usage error (exit 2).
+3 runtime/engine error.  --threads is accepted for compatibility and not used;
+execution is vectorized and single-process; mc_estimates draws its stream on
+one helper thread.  A --threads below 1 is a usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -154,7 +155,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=_positive_int,
             default=None,
-            help="worker count hint; execution is vectorized, the value is not used",
+            help="accepted for compatibility and not used; execution is vectorized and single-process",
         )
     return parser
 

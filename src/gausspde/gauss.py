@@ -22,6 +22,10 @@ gaussian_nodes builds the node set of N(0, diag v) for either backend; integrate
 and the grid step in engine take their nodes from it, while mc_estimates makes
 one pass over one shared stream of standard normals from Philox directly, in
 memory O((_SEGMENT + _BLOCK) width) whatever the number of samples or cases.
+Its stream is drawn in rounds of fixed sizes on one helper thread, one round
+ahead of the evaluation on the calling thread, so the draw overlaps the
+integrands and gives the bits a draw on the caller would; every integrand runs
+on the calling thread, and no thread outlives the call.
 
 Evaluators are vectorized: an integrand receives an (m, n) array of points
 and must return an (m,) array of values.  A row's value must depend on that row
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -291,17 +296,26 @@ def mc_estimates(cases, quad: QuadratureSpec) -> list[tuple[float, float]]:
 
     One pass over stream () of rng_seed serves every case: quad.samples rows of standard normals
     as wide as the widest spec, drawn in rounds of seg width normals, seg = min(samples,
-    _SEGMENT), which equal one large draw.  A case of dimension d reads row r from normals
-    [r d, (r + 1) d) of the stream, exactly the normals a fresh (samples, d) draw from it gives.
+    _SEGMENT), the last one partial, which equal one large draw.  A case of dimension d reads
+    row r from normals [r d, (r + 1) d) of the stream, exactly the normals a fresh (samples, d)
+    draw from it gives.  One worker thread, started and joined by each call, makes every draw:
+    while the calling thread copies round r into the window and evaluates it, the worker draws
+    round r + 1, so at most one round is in flight besides the window.  The rounds' sizes and
+    order are fixed before any case is evaluated, so the normals are those of a draw on the
+    calling thread.  Whether the call returns or raises, it awaits the pending draw and joins
+    the worker; an error of the draw or of an integrand reaches the caller.
     After each round, every case takes each of its segments of seg rows (the last one partial)
     that the normals drawn so far cover: it scales and shifts the segment's rows a block of at
     most _BLOCK normals at a time, one column at a time, into one reused (width, _BLOCK) buffer,
     whose transpose the integrand receives, and writes the values into one buffer of seg values
-    shared by all cases.  The segment's mean and centred sum of squares are taken in place with
-    the numpy operations of vals.mean() and vals.std(), then merged into the case's running ones
-    by the pairwise update of Chan, Golub and LeVeque (1979); the first segment sets them
-    directly.  The window keeps the stream from the first normal an unfinished case still needs,
-    at most seg (width - 1) of them carried into the next round, so memory is
+    shared by all cases.  A column whose mean is 0.0 is scaled and not shifted.  That differs
+    from adding 0.0 only on a normal of exactly -0.0, which then stays -0.0 rather than
+    becoming +0.0: Ziggurat gives one about once in 2^52 draws, and only an integrand that
+    reads the sign of a zero can tell.  The segment's mean and centred sum of squares are taken
+    in place with the numpy operations of vals.mean() and vals.std(), then merged into the case's
+    running ones by the pairwise update of Chan, Golub and LeVeque (1979); the first segment sets
+    them directly.  The window keeps the stream from the first normal an unfinished case still
+    needs, at most seg (width - 1) of them carried into the next round, so memory is
     O((_SEGMENT + _BLOCK) width), whatever quad.samples or the number of cases is.
     Consequently, for row-local integrands:
       - up to _SEGMENT samples, mean and standard error are bit-identical to numpy's vals.mean()
@@ -325,38 +339,46 @@ def mc_estimates(cases, quad: QuadratureSpec) -> list[tuple[float, float]]:
     done = [0] * len(cases)  # rows whose moments each case has merged
     means, m2s = [0.0] * len(cases), [0.0] * len(cases)
     start = end = 0
-    while end < total:
-        c = min(seg * width, total - end)
-        z[end - start : end - start + c] = stream.standard_normal(c)
-        end += c
-        for k, (f, spec) in enumerate(cases):
-            d, lo = spec.dim, done[k]
-            rows = max(1, _BLOCK // d)
-            while lo < n and min(n, lo + seg) * d <= end:
-                hi = min(n, lo + seg)
-                for a in range(lo, hi, rows):
-                    b = min(hi, a + rows)
-                    pts = z[a * d - start : b * d - start].reshape(b - a, d)
-                    for j in range(d):
-                        np.multiply(pts[:, j], sds[k][j], out=buf[j, : b - a])
-                        buf[j, : b - a] += spec.mean[j]
-                    vals[a - lo : b - lo] = _evaluate(f, buf[:d, : b - a].T)
-                m = hi - lo
-                v = vals[:m]
-                mean = float(v.mean())
-                np.subtract(v, mean, out=v)
-                np.square(v, out=v)
-                m2 = float(v.sum())
-                if lo:
-                    delta = mean - means[k]
-                    means[k] += delta * (m / hi)
-                    m2s[k] += m2 + delta * delta * (lo * m / hi)
-                else:
-                    means[k], m2s[k] = mean, m2
-                lo = done[k] = hi
-        keep = min((r * spec.dim for r, (_, spec) in zip(done, cases) if r < n), default=end)
-        z[: end - keep] = z[keep - start : end - start]
-        start = keep
+    # from here on only the worker touches the stream; leaving the block awaits its pending
+    # draw and joins it, whether the loop returns or raises
+    with ThreadPoolExecutor(1) as worker:
+        draw = worker.submit(stream.standard_normal, min(seg * width, total))
+        while end < total:
+            c = min(seg * width, total - end)
+            z[end - start : end - start + c] = draw.result()
+            end += c
+            del draw  # frees this round before the worker draws the next one
+            if end < total:
+                draw = worker.submit(stream.standard_normal, min(seg * width, total - end))
+            for k, (f, spec) in enumerate(cases):
+                d, lo = spec.dim, done[k]
+                rows = max(1, _BLOCK // d)
+                while lo < n and min(n, lo + seg) * d <= end:
+                    hi = min(n, lo + seg)
+                    for a in range(lo, hi, rows):
+                        b = min(hi, a + rows)
+                        pts = z[a * d - start : b * d - start].reshape(b - a, d)
+                        for j in range(d):
+                            np.multiply(pts[:, j], sds[k][j], out=buf[j, : b - a])
+                            if spec.mean[j]:
+                                buf[j, : b - a] += spec.mean[j]
+                        vals[a - lo : b - lo] = _evaluate(f, buf[:d, : b - a].T)
+                    m = hi - lo
+                    v = vals[:m]
+                    mean = float(v.mean())
+                    np.subtract(v, mean, out=v)
+                    np.square(v, out=v)
+                    m2 = float(v.sum())
+                    if lo:
+                        delta = mean - means[k]
+                        means[k] += delta * (m / hi)
+                        m2s[k] += m2 + delta * delta * (lo * m / hi)
+                    else:
+                        means[k], m2s[k] = mean, m2
+                    lo = done[k] = hi
+            keep = min((r * spec.dim for r, (_, spec) in zip(done, cases) if r < n), default=end)
+            z[: end - keep] = z[keep - start : end - start]
+            start = keep
     # standard error sqrt(var(ddof=1) / samples); inf for a single sample
     return [(mean, math.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else math.inf) for mean, m2 in zip(means, m2s)]
 

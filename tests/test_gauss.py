@@ -3,6 +3,8 @@
 
 import dataclasses
 import math
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -491,6 +493,81 @@ def test_mc_estimates_draw_the_stream_in_chunks(monkeypatch):
     monkeypatch.setattr(gauss, "philox_generator", lambda *a, **k: Counting(philox_generator(*a, **k)))
     assert mc_estimates(cases, quad_mc) == _segment_merged_moments(cases, quad_mc, 1024)
     assert drawn == [3072] * 4 + [5000 * 3 - 4 * 3072]
+
+
+class _SlowStream:
+    """Generator fake: records each draw's size and thread, sleeps about 2 ms on the first 100
+    draws so that the caller evaluates while a draw is pending, then draws; it may raise on
+    draw number `fail_at` instead."""
+
+    def __init__(self, gen, fail_at=None):
+        self._gen, self._fail_at = gen, fail_at
+        self.sizes, self.threads = [], []
+
+    def standard_normal(self, size):
+        self.sizes.append(size)
+        self.threads.append(threading.get_ident())
+        if len(self.sizes) == self._fail_at:
+            raise RuntimeError("draw failed")
+        if len(self.sizes) <= 100:
+            time.sleep(0.002)
+        return self._gen.standard_normal(size)
+
+
+def _slow_streams(monkeypatch, fail_at=None):
+    """Make gauss.philox_generator return _SlowStream fakes; returns the list they join."""
+    streams = []
+
+    def slow_generator(*args, **kwargs):
+        streams.append(_SlowStream(philox_generator(*args, **kwargs), fail_at))
+        return streams[-1]
+
+    monkeypatch.setattr(gauss, "philox_generator", slow_generator)
+    return streams
+
+
+@pytest.mark.parametrize("segment", [7, 1024])
+def test_mc_estimates_draw_off_the_calling_thread(monkeypatch, segment):
+    # one worker draws every round while the caller evaluates the one before: the estimates and
+    # the rounds (seg * width normals, the last one partial) are those of a draw on the caller
+    monkeypatch.setattr(gauss, "_SEGMENT", segment)
+    quad_mc = QuadratureSpec(backend="monte_carlo", samples=70_001, rng_seed=20260814)
+    cases = _row_local_cases()
+    streams = _slow_streams(monkeypatch)
+    estimates = mc_estimates(cases, quad_mc)
+    assert estimates == _segment_merged_moments(cases, quad_mc, segment)
+    (stream,) = streams
+    total, c = 70_001 * 3, segment * 3
+    assert stream.sizes == [c] * (total // c) + [total % c]
+    assert len(set(stream.threads)) == 1
+    assert threading.get_ident() not in stream.threads
+
+
+def test_mc_estimates_failures_join_the_worker(monkeypatch):
+    # whether an integrand or a draw fails, the caller gets the error and no thread outlives the call
+    monkeypatch.setattr(gauss, "_SEGMENT", 1024)
+    quad_mc = QuadratureSpec(backend="monte_carlo", samples=5000, rng_seed=3)
+    calls = []
+
+    def third_segment_raises(y):
+        calls.append(y.shape[0])
+        if len(calls) == 3:
+            raise IntegrandError("third segment")
+        return y[:, 0]
+
+    threads = threading.active_count()
+    with pytest.raises(IntegrandError, match="third segment"):
+        mc_estimates([(third_segment_raises, centered([1.0]))], quad_mc)
+    assert calls == [1024] * 3
+    assert threading.active_count() == threads
+    with pytest.raises(IntegrandError, match="non-finite"):
+        mc_estimates([(lambda y: np.full(y.shape[0], np.inf), centered([1.0]))], quad_mc)
+    assert threading.active_count() == threads
+    streams = _slow_streams(monkeypatch, fail_at=2)
+    with pytest.raises(RuntimeError, match="draw failed"):
+        mc_estimates(_row_local_cases(), quad_mc)
+    assert threading.active_count() == threads
+    assert streams[0].sizes == [3072] * 2
 
 
 def test_mc_estimates_memory_does_not_grow_with_samples():
