@@ -33,11 +33,10 @@ geometry and computes the grid points and per-point factors once, and chernoff_s
 iterates it on arrays, making a GridField only for checkpoints and the result.
 Gauss-Hermite node sums are fixed as one linear map per axis, _AxisFactor, which owns
 its keying, span, budget, blocked build and contraction: its node weights are folded into
-kernel rows of spline taps over grid offsets when it is built, once per grid line rather
-than once per point wherever the coefficients allow it.  chernoff_solve takes each step's
-sup norm as the larger of max and -min, which is also its finiteness check,
-and the interior's from the slices of the interior box.  Monte Carlo draws fresh nodes at
-every step (Philox stream k-1) and sums them by _node_sum, as tangency_residual does.
+kernel rows of spline taps over grid offsets when it is built.  chernoff_solve takes each
+step's sup norm as the larger of max and -min, which is also its finiteness check, and the
+interior's from the slices of the interior box.  Monte Carlo draws fresh nodes at every step
+(Philox stream k-1) and sums them by _node_sum, as tangency_residual does.
 """
 
 from __future__ import annotations
@@ -78,7 +77,8 @@ _GATHER_ELEMENTS = 4_000_000
 # with their node indices, the block's rows and temporaries they take about 50 bytes each
 _BUILD_TAPS = 1 << 14
 # bytes of one axis factor's table of kernel rows, keys W 8, above which it is refused: 256 MiB
-# takes a 1D single step whose reach nearly fills the box (W about 2.74 n) up to about 3,500 points
+# takes a 1D single step with varying g or B whose reach nearly fills the box (W about 2.74 n) up
+# to about 3,500 points
 _TAP_TABLE_BYTES = 1 << 28
 # Gauss-Hermite nodes the grid step leaves out: weight below 2^-60, far under an ulp of the sum
 _NODE_WEIGHT_FLOOR = 2.0**-60
@@ -368,25 +368,26 @@ class _AxisFactor:
     prefilter it along the axis, then apply kernel rows of the weighted spline taps at the nodes
     x + shift + scale z_k of each point, for scale and shift given at every grid point.
 
-    Keys.  The rows follow scale and shift along the L lines of n points (_lines): keyed by point,
-    (n, 1), shared by every line when they are the same on each line (always in 1D, and on axis 1
-    when the coefficients depend on x_1 only); keyed by line, (1, L), shared by its points when
-    they are constant along each line (axes 2.. when the coefficients depend on x_1 only), a line's
-    row holding the taps of its first point as offsets from it; keyed by each point of each line,
-    (n, L), otherwise.  taps(keys) gives the tap columns and weights (_spline_taps) of a slice of
-    the points, (points, 1 or L, K, order + 1), or of the lines of a line-keyed table, (1, lines,
-    K, order + 1), each weight times its node weight, so that a row sums to 1.  The columns are
-    taken on the line itself in both boundary modes, so a constant-mode table equals the
-    clamp-mode table bit for bit and only the window start `index` moves by _PAD.
+    Keys.  Every row holds its key's node offsets from its own point, (shift + scale z_k) / dx, so
+    it depends on its key's scale and shift alone.  Along the L lines of n points (_lines), a table
+    keeps the point axis only if scale or shift varies along the lines, and the line axis only if
+    they vary across them: (n, 1), keyed by point (in 1D when g or B varies, and on axis 1 when the
+    coefficients depend on x_1 only); (1, L), keyed by line (axes 2.. when they depend on x_1
+    only); (n, L), keyed by each point of each line; and (1, 1), one row for the axis, where they
+    are constant on it.  taps(keys) gives the tap columns, offsets from the point, and weights
+    (_spline_taps) of a slice of the points, or of the lines where keys[0] is 1, (points, lines, K,
+    order + 1), each weight times its node weight, so that a row sums to 1.  The columns do not
+    depend on the boundary mode, so a constant-mode table equals the clamp-mode table bit for bit
+    and only the window start `index` moves by _PAD.
 
-    Span and budget.  A row is dense over the W grid offsets first .. first + W - 1 from its point's
-    own coefficient that its taps reach, about 2 s z_max / dx + order + 1.  Nodes ascend and
-    scale >= 0, so each key's node indices ascend (rounding keeps their order) and the first and
-    last tap columns of its two outermost nodes bound all its taps: the span comes from those alone,
-    and a table of keys W 8 bytes above _TAP_TABLE_BYTES is refused with TapTableError before any
-    other tap is computed.
+    Span and budget.  A row is dense over the W grid offsets first .. first + W - 1 from its point
+    that its taps reach, about 2 s z_max / dx + order + 1.  Nodes ascend and scale >= 0, so each
+    key's node offsets ascend (rounding keeps their order) and the first and last tap columns of
+    its two outermost nodes bound all its taps: the span comes from those alone, and a table of
+    keys W 8 bytes above _TAP_TABLE_BYTES is refused with TapTableError before any other tap is
+    computed.
 
-    Fill.  The table is filled a block of keys (points, or lines of a line-keyed table) at a time,
+    Fill.  The table is filled a block of keys (points, or lines where keys[0] is 1) at a time,
     about _BUILD_TAPS taps a block, a per-point table's counted across its L lines: one bincount
     folds the block's taps by offset into its rows, in the order the taps of one row come, so a row
     has the same bits whatever the block.  A build holds the table and one block, not all the taps:
@@ -396,28 +397,28 @@ class _AxisFactor:
     Contraction.  A tap past the edge keeps its offset and reads the coefficient lines extended past
     the edge by the edge coefficient: `extended`, a buffer of (n + W - 1) L * 8 bytes kept with the
     factor, as is its view of sliding windows (a new view costs about 12 us a call) and, in constant
-    mode, the padded field it is prefiltered in; so a call is not reentrant.  Rows keyed by point
-    contract each point's window on all lines by np.matmul, whose bits do not depend on the number
-    of BLAS threads; the others contract each point's window on each line with its row by
-    np.einsum, which calls no BLAS, a line's row broadcast over its points (np.einsum is 2.6 times
-    slower than np.matmul on rows shared by 128 lines).
+    mode, the padded field it is prefiltered in; so a call is not reentrant.  Tables with one key
+    across the lines, (n, 1) and (1, 1), contract each point's window on all lines by np.matmul,
+    whose bits do not depend on the number of BLAS threads, a (1, 1) row broadcast over the points;
+    the others contract each point's window on each line with its row by np.einsum, which calls no
+    BLAS, a (1, L) row broadcast over its line's points (np.einsum is 2.6 times slower than
+    np.matmul on rows shared by 128 lines).
     """
 
     def __init__(self, grid: GridField, axis: int, scale: np.ndarray, shift: np.ndarray,
                  nodes: np.ndarray, weights: np.ndarray, order: int):
         self.axis, self.order, self.shape = axis, order, grid.values.shape
-        self.x, self.lo, self.dx = grid.axes[axis], grid.bounds[axis][0], grid.spacings[axis]
-        self.nodes, self.weights = nodes, weights
+        self.dx, self.nodes, self.weights = grid.spacings[axis], nodes, weights
         self.pad = _PAD if grid.boundary_mode == "constant" else 0
         self.boundary_value = grid.boundary_value
         scale, shift = _lines(scale, axis), _lines(shift, axis)
         self.size, self.lines = scale.shape
-        # copies, so that a shared table keeps no per-point array alive
-        if np.all(scale == scale[:, :1]) and np.all(shift == shift[:, :1]):
-            scale, shift = scale[:, :1].copy(), shift[:, :1].copy()
-        elif np.all(scale == scale[:1]) and np.all(shift == shift[:1]):
-            scale, shift = scale[:1].copy(), shift[:1].copy()  # one value per line
-        self.scale, self.shift, self.keys = scale, shift, scale.shape
+        along = not (np.all(scale == scale[:1]) and np.all(shift == shift[:1]))
+        across = not (np.all(scale == scale[:, :1]) and np.all(shift == shift[:, :1]))
+        keys = (self.size if along else 1, self.lines if across else 1)
+        if keys != scale.shape:  # copies, so that a collapsed table keeps no per-point array alive
+            scale, shift = scale[: keys[0], : keys[1]].copy(), shift[: keys[0], : keys[1]].copy()
+        self.scale, self.shift, self.keys = scale, shift, keys
         self.first, self.width = self._span()
         if (table := scale.size * self.width * 8) > _TAP_TABLE_BYTES:
             raise TapTableError(
@@ -435,22 +436,18 @@ class _AxisFactor:
 
     def _indices(self, keys: slice, nodes: np.ndarray) -> np.ndarray:
         at = (slice(None), keys) if self.keys[0] == 1 else (keys,)
-        idx = self.shift[at][..., None] + self.scale[at][..., None] * nodes  # node offsets from the point
-        if self.keys[0] > 1:
-            idx += self.x[keys, None, None]
-            idx -= self.lo
-        idx /= self.dx  # node indices on the line; a line-keyed table's offsets stand for its first point's
+        idx = self.shift[at][..., None] + self.scale[at][..., None] * nodes
+        idx /= self.dx  # node offsets from the point, in cells
         return idx
 
     def taps(self, keys: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
-        """Tap columns on the line and tap weights times node weights of a slice of the keys."""
+        """Tap columns, offsets from the point, and tap weights times node weights of a slice of the keys."""
         cols, w = _spline_taps(self._indices(keys, self.nodes), self.order)
         w *= self.weights[..., None]
         return cols, w
 
     def _span(self) -> tuple[int, int]:
         ends = np.floor(self._indices(slice(None), self.nodes[[0, -1]])).astype(np.intp)
-        ends -= np.arange(self.keys[0])[:, None, None]
         first = int(ends[..., 0].min()) - self.order // 2
         return first, int(ends[..., 1].max()) + self.order - self.order // 2 - first + 1
 
@@ -462,13 +459,12 @@ class _AxisFactor:
         for start in range(0, self.keys[1 if by_line else 0], block):
             cols, w = self.taps(slice(start, start + block))
             keys = np.arange(cols.shape[0] * cols.shape[1]).reshape(cols.shape[:2])  # (points, lines)
-            own = 0 if by_line else np.arange(start, start + len(keys))[:, None]  # a point's own coefficient
-            # the tap of key r of the block at column c is entry (r, c - own - first) of its rows
-            cols += (keys * self.width - own - self.first)[..., None, None]
+            # the tap of key r of the block at offset c is entry (r, c - first) of its rows
+            cols += (keys * self.width - self.first)[..., None, None]
             rows = np.bincount(cols.ravel(), w.ravel(), minlength=keys.size * self.width)
             at = np.s_[..., start : start + keys.shape[1]] if by_line else np.s_[start : start + len(keys)]
             table[at] = rows.reshape(keys.shape + (self.width,)).swapaxes(1, 2)
-        return table.swapaxes(1, 2) if self.keys[1] == 1 else table  # (size, 1, width) for matmul
+        return table.swapaxes(1, 2) if self.keys[1] == 1 else table  # (size or 1, 1, width) for matmul
 
     def rows(self, coeffs: np.ndarray) -> np.ndarray:
         """The rows applied to coefficients arranged (padded size, L), one grid line per column."""
@@ -512,14 +508,15 @@ class _Step:
     with u the factor's input (boundary_value included in constant mode), so leaving them
     out moves a factor's output by at most 3.2e-18 ||u||_inf at K = 32.
 
-    In 1D this agrees with _node_sum's per-node summation up to rounding (2e-15 on fields of
-    size 1).  In d >= 2 the factors' product is the tensor step, up to rounding, when g
-    depends on x_1 only and B_j on x_1 .. x_j only, so that no factor's weights change along
-    the axes filtered after it; otherwise it is their Lie product, O(tau^2) per step from it
-    and still first order (Chernoff 1968).  Every read past the edge takes the edge
-    coefficient.  Node and tap weights each sum to 1, so every factor maps a constant to
-    itself; with boundary_mode "constant", factor i therefore extends its input by _PAD cells
-    of boundary_value along axis i at each end, as _FieldEvaluator extends the field.
+    In 1D this agrees with _node_sum's per-node summation up to rounding (1.3e-14 on smooth
+    fields of size 1 at 1024 points, mostly _node_sum's rounding of the node position).  In d >= 2
+    the factors' product is the tensor step, up to rounding, when g depends on x_1 only and B_j on
+    x_1 .. x_j only, so that no factor's weights change along the axes filtered after it; otherwise
+    it is their Lie product, O(tau^2) per step from it and still first order (Chernoff 1968).
+    Every read past the edge takes the edge coefficient.  Node and tap weights each sum to 1, so
+    every factor maps a constant to itself; with boundary_mode "constant", factor i therefore
+    extends its input by _PAD cells of boundary_value along axis i at each end, as _FieldEvaluator
+    extends the field.
     """
 
     def __init__(self, op: OperatorL, tau: float, grid: GridField, quad: QuadratureSpec, interpolation: str):

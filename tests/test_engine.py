@@ -303,11 +303,10 @@ def test_compiled_step_matches_per_node_reference(dim, nodes, interpolation, mod
 
 
 def reach(cols):
-    """(first, width): the grid offsets, from each point's own coefficient, that the tap columns
-    cols reach, taken over every tap; a line-keyed table's columns are those of its first point."""
-    offsets = cols - np.arange(cols.shape[0])[:, None, None, None]
-    first = int(offsets.min())
-    return first, int(offsets.max()) - first + 1
+    """(first, width): the grid offsets, from each point, that the tap columns cols reach, taken
+    over every tap."""
+    first = int(cols.min())
+    return first, int(cols.max()) - first + 1
 
 
 def csr_taps(cols, w, size, pad, lines):
@@ -353,7 +352,7 @@ def test_kernel_rows_match_csr_taps(dim, drift, points, tau, past, interpolation
         size, pad, lines = factor.size, factor.pad, factor.lines
         assert (factor.first, factor.width) == reach(cols)
         # every point's taps, as columns of the padded line
-        points = cols + pad + np.arange(size + 1 - cols.shape[0])[:, None, None, None]
+        points = cols + pad + np.arange(size)[:, None, None, None]
         csr = csr_taps(points, w, size, pad, lines)
         assert points[0].min() < pad - 3 and points[-1].max() > size + pad + 2
         if table < past:
@@ -391,7 +390,7 @@ def test_kernel_rows_do_not_depend_on_the_build_block(monkeypatch, dim, points, 
 @pytest.mark.parametrize("interpolation", ["cubic", "linear"])
 @pytest.mark.parametrize("nodes", [8, 32])
 def test_kernel_rows_do_not_depend_on_the_boundary_mode(dim, points, interpolation, nodes):
-    # tap columns are taken on the field's own line in both modes and only the window start adds
+    # tap columns are offsets from the point in both modes and only the window start adds
     # _PAD, so a constant-mode table is the clamp-mode table bit for bit, its window moved by _PAD
     # cells. Axis 1 is keyed by point; axes 2.. are keyed by line with x1_drift_op and by each point
     # of each line with variable_op's drift
@@ -428,17 +427,54 @@ def test_building_kernel_rows_holds_the_table_and_one_block():
 
 
 def test_the_verify_single_step_and_the_2d_shared_block_pick_as_predicted():
-    # the battery's constant-coefficient row at n = 1 (g = 1, tau = 1, 512 points on +-9.2)
-    # reaches 461 offsets; var2d's axis-1 rows at K = 8 reach 31, and its axis-2 rows, one per
-    # line of 128, reach 23
+    # the battery's constant-coefficient row at n = 1 (g = 1, tau = 1, 512 points on +-9.2) is one
+    # row of 461 offsets for every point; var2d's axis-1 rows at K = 8 reach 31, and its axis-2
+    # rows, one per line of 128, reach 23
     verify = load_config(REPO / "configs" / "verify_default.json")
     u0 = GridField.from_function(((-9.2, 9.2),), 512, lambda x: np.cos(x[:, 0]))
     (factor,) = engine._Step(const_op(g=1.0, c=-1.0), 1.0, u0, verify.quadrature, "cubic").factors
-    assert factor.kernel.shape == (512, 1, 461)
+    assert factor.kernel.shape == (1, 1, 461)
     var2d = load_config(REPO / "perfbench" / "configs" / "var2d.json")
     step = engine._Step(var2d.operator(), var2d.t_final / 4, var2d.grid, var2d.quadrature, "cubic")
     shared, line_keyed = step.factors
     assert shared.kernel.shape == (128, 1, 31) and line_keyed.kernel.shape == (1, 23, 128)
+
+
+@pytest.mark.parametrize("drift", [False, True])
+@pytest.mark.parametrize("interpolation", ["cubic", "linear"])
+def test_rows_repeat_where_the_coefficients_repeat(interpolation, drift):
+    # every row holds its key's node offsets from its own point, so g and B that repeat exactly
+    # every P cells, by index lookup, give rows that repeat every P points bit for bit, at the
+    # edge points too; node indices taken from the start of the line would round differently
+    lo, hi, points, period = -3.0, 3.0, 200, 7
+    rng = np.random.default_rng(period)
+    g_cells, b_cells = 1.0 + 0.5 * rng.random(period), 0.8 * rng.random(period) - 0.4
+    cell = lambda x: np.rint((x[:, 0] - lo) / ((hi - lo) / (points - 1))).astype(np.intp) % period
+    g = CylFunction(dim=1, eval=lambda x: g_cells[cell(x)], sup_bound=1.5)
+    B = [CylFunction(dim=1, eval=lambda x: b_cells[cell(x)], sup_bound=0.4)] if drift else None
+    op = OperatorL(coeffs=Coefficients(g=g, B=B, C=CylFunction.constant(0.0, 1), g_floor=1.0),
+                   A=TraceClassOperator([0.5]))
+    u = GridField([(lo, hi)], np.zeros(points))
+    quad = QuadratureSpec(backend="gauss_hermite", nodes_per_dim=32)
+    (factor,) = engine._Step(op, 0.4, u, quad, interpolation).factors
+    assert factor.kernel.shape[:2] == (points, 1)
+    assert factor.kernel[period:].tobytes() == factor.kernel[:-period].tobytes()
+    assert factor.kernel[:period].tobytes() != factor.kernel[1 : period + 1].tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["clamp", "constant"])
+@pytest.mark.parametrize("drift", [False, True])
+def test_constant_coefficients_build_one_row_per_axis(dim, mode, drift):
+    # scale and shift vary neither along nor across any axis, so every table is one (1, 1) row,
+    # which np.matmul broadcasts over the points of every line
+    op = const_op(g=1.2, b=(0.8, -0.5, 0.3)[:dim] if drift else None, c=-0.4, q=(0.5, 0.25, 0.2)[:dim])
+    quad = QuadratureSpec(backend="gauss_hermite", nodes_per_dim=(16, 8, 8)[dim - 1])
+    u = rough_field(dim, (200, 24, 10)[dim - 1], 3.0, boundary_mode=mode, boundary_value=0.75)
+    step = engine._Step(op, 0.4, u, quad, "cubic")
+    assert [factor.keys for factor in step.factors] == [(1, 1)] * dim
+    ref = _one_step_values(op, 0.4, _FieldEvaluator(u, "cubic"), u.meshpoints(), quad)
+    assert np.max(np.abs(apply_S(op, 0.4, u, quad).values.ravel() - ref)) <= 1e-13
 
 
 @pytest.mark.parametrize("points", range(2, 17))

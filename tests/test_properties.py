@@ -202,9 +202,11 @@ def test_every_tap_table_counts_against_the_tap_table_budget(case):
 
 def test_a_1d_table_at_the_reach_limit_is_refused_before_it_is_allocated():
     # a single step whose one-step reach nearly fills the box: at K = 32 the 28 kept nodes of the
-    # 512 points reach W = 1403 offsets, about 2.74 n, so the table takes 512 W 8 B = 5.7 MB. One
-    # byte less of budget refuses it, and the build holds far less than the table
-    co = Coefficients(g=CylFunction.constant(1.0, 1), B=None, C=CylFunction.constant(0.0, 1), g_floor=1.0)
+    # 512 points reach W = 1403 offsets, about 2.74 n, and g varies along the line, so the table
+    # takes 512 W 8 B = 5.7 MB. One byte less of budget refuses it, and the build holds far less
+    # than the table. With g constant the same step is one row of 1403 offsets
+    g = CylFunction(dim=1, eval=lambda x: 1.0 - 1e-3 * np.sin(x[:, 0]) ** 2, sup_bound=1.0)
+    co = Coefficients(g=g, B=None, C=CylFunction.constant(0.0, 1), g_floor=0.999)
     op = OperatorL(coeffs=co, A=TraceClassOperator([0.5]))
     quad = QuadratureSpec("gauss_hermite", nodes_per_dim=32)
     u = GridField([(-9.2, 9.2)], np.zeros(512))
@@ -222,3 +224,6 @@ def test_a_1d_table_at_the_reach_limit_is_refused_before_it_is_allocated():
         assert peak < table / 8
         patch.setattr(engine, "_TAP_TABLE_BYTES", table)
         assert engine._Step(op, tau, u, quad, "cubic").factors[0].kernel.shape == (512, 1, 1403)
+    co = Coefficients(g=CylFunction.constant(1.0, 1), B=None, C=CylFunction.constant(0.0, 1), g_floor=1.0)
+    step = engine._Step(OperatorL(coeffs=co, A=op.A), tau, u, quad, "cubic")
+    assert step.factors[0].kernel.shape == (1, 1, 1403)
